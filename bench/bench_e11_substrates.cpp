@@ -1,85 +1,18 @@
-// E11 — substrate microbenchmarks (google-benchmark): the priority-queue
-// implementations underlying the schedulers (repro hint: "pure algorithm +
-// priority queues"), LruTracker, the thread-pool sweep scaling, and the SPSC
-// queue.
-#include <queue>
+// E11 — substrate microbenchmarks (google-benchmark): LruTracker, the
+// thread-pool sweep scaling, and the SPSC queue.
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
-#include "container/indexed_heap.h"
 #include "container/lru_tracker.h"
-#include "container/pairing_heap.h"
 #include "parallel/parallel_for.h"
 #include "parallel/spsc_queue.h"
 #include "parallel/thread_pool.h"
 #include "util/rng.h"
 
 namespace {
-
-void BM_IndexedHeapPushPop(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  rrs::Rng rng(1);
-  std::vector<uint64_t> priorities(n);
-  for (auto& p : priorities) p = rng.Next();
-  for (auto _ : state) {
-    rrs::IndexedHeap<uint64_t> heap(n);
-    for (uint32_t k = 0; k < n; ++k) heap.Push(k, priorities[k]);
-    uint64_t sink = 0;
-    while (!heap.empty()) sink += heap.Pop();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n * 2));
-}
-
-void BM_IndexedHeapDecreaseKey(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  rrs::Rng rng(2);
-  rrs::IndexedHeap<uint64_t> heap(n);
-  for (uint32_t k = 0; k < n; ++k) heap.Push(k, (uint64_t{1} << 40) + k);
-  uint64_t next = uint64_t{1} << 40;
-  for (auto _ : state) {
-    uint32_t key = static_cast<uint32_t>(rng.NextBounded(n));
-    heap.Update(key, --next);
-    benchmark::DoNotOptimize(heap.Top());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_PairingHeapPushPop(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  rrs::Rng rng(3);
-  std::vector<uint64_t> priorities(n);
-  for (auto& p : priorities) p = rng.Next();
-  for (auto _ : state) {
-    rrs::PairingHeap<uint32_t, uint64_t> heap;
-    for (uint32_t k = 0; k < n; ++k) heap.Push(k, priorities[k]);
-    uint64_t sink = 0;
-    while (!heap.empty()) sink += heap.Pop().second;
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n * 2));
-}
-
-void BM_StdPriorityQueuePushPop(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  rrs::Rng rng(4);
-  std::vector<uint64_t> priorities(n);
-  for (auto& p : priorities) p = rng.Next();
-  for (auto _ : state) {
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>>
-        heap;
-    for (uint64_t p : priorities) heap.push(p);
-    uint64_t sink = 0;
-    while (!heap.empty()) {
-      sink += heap.top();
-      heap.pop();
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n * 2));
-}
 
 void BM_LruTrackerTouchTopK(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -137,10 +70,6 @@ void BM_SpscQueueThroughput(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_IndexedHeapPushPop)->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_IndexedHeapDecreaseKey)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_PairingHeapPushPop)->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_StdPriorityQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_LruTrackerTouchTopK)->Arg(64)->Arg(1024);
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_SpscQueueThroughput);

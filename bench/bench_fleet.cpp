@@ -280,13 +280,19 @@ struct CellResult {
 // environment — the paired ratios (see measured_speedup) live or die on
 // that adjacency. Longer best-of-several windows were tried and are
 // *worse*: they push paired windows ~4s apart, decorrelating the noise.
-// RRS_BENCH_SMOKE=1: one window, one iteration per window — the tier-1
-// smoke run that proves every cell still executes and emits its metrics;
-// numbers are only ever checked for shape (bench_compare.py --shape-only),
-// never gated.
+// RRS_BENCH_SMOKE=1: one window, one iteration per window, small fleets
+// (SmokeScaled) — the tier-1 smoke run that proves every cell still
+// executes and emits its metrics; numbers are only ever checked for shape
+// (bench_compare.py --shape-only), never gated.
 bool SmokeMode() {
   static const bool smoke = std::getenv("RRS_BENCH_SMOKE") != nullptr;
   return smoke;
+}
+
+// Smoke fleets are 100x smaller (at least 64 tenants, live caps alike):
+// the 100k-tenant cells would otherwise dominate the tier-1 run.
+size_t SmokeScaled(size_t count) {
+  return SmokeMode() && count > 0 ? std::max<size_t>(count / 100, 64) : count;
 }
 
 int BenchWindows() { return SmokeMode() ? 1 : 4; }
@@ -558,8 +564,8 @@ std::vector<CellResult> RunCells(std::span<const Cell> cells) {
 // generators. Peak live-heap bytes are measured over workload construction
 // + the full RunAll, minus the baseline before the cell; per tenant.
 std::vector<CellResult> RunMemCells() {
-  constexpr size_t kMemTenants = 8192;
-  constexpr size_t kMemLive = 1024;
+  const size_t kMemTenants = SmokeScaled(8192);
+  const size_t kMemLive = SmokeScaled(1024);
   constexpr rrs::Round kMemRounds = 64;
   std::vector<rrs::workload::ColorSpec> specs;
   for (rrs::Round d = 1; d <= 32; d *= 2) {
@@ -657,7 +663,7 @@ int main(int argc, char** argv) {
   // full-width 64-lane slabs (shared per-slab-round work — wheel slot scan,
   // boundary masks, class-order memoization — amortizes over every resident
   // lane).
-  const Cell cells[] = {
+  Cell cells[] = {
       // Concurrency scale: every tenant live at once (unbounded window).
       {"fleet/1k/replay", 1000, 64, 0},
       // Long-horizon cells spend most rounds in the post-arrival drain,
@@ -723,6 +729,11 @@ int main(int argc, char** argv) {
        rrs::fleet::FleetJob::Kind::kReplay, /*compare_fresh=*/true,
        /*colors=*/128, /*resources=*/32, /*max_delay=*/4},
   };
+
+  for (Cell& cell : cells) {
+    cell.tenants = SmokeScaled(cell.tenants);
+    cell.max_live = SmokeScaled(cell.max_live);
+  }
 
   std::vector<CellResult> results;
   const size_t num_cells = sizeof(cells) / sizeof(cells[0]);

@@ -8,7 +8,8 @@
 //                      workers (DistStats.rounds_stepped / Run wall time)
 //   sessions_per_sec   tenants fully served per second
 //   workers            worker process count
-//   usable_cpus        std::thread::hardware_concurrency() at run time
+//   usable_cpus        CPUs the run can use: the affinity mask capped by
+//                      the cgroup cpu.max quota (bench_util.h UsableCpus)
 //
 // The headline claim is linear scaling: the 2-worker cell names the
 // 1-worker cell via "scaling_ref" and stamps "scaling_gate": 1.7 — its
@@ -37,9 +38,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/engine.h"
 #include "fleet/dist/controller.h"
 #include "fleet/fleet_runner.h"
@@ -192,7 +193,7 @@ int main(int argc, char** argv) {
       out_path = argv[i];
     }
   }
-  const unsigned usable_cpus = std::thread::hardware_concurrency();
+  const unsigned usable_cpus = rrs::bench::UsableCpus();
 
   std::vector<DistCellResult> results;
   if (custom_tenants > 0) {

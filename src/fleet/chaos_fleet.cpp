@@ -3,8 +3,8 @@
 #include <string>
 #include <utility>
 
-#include "core/session.h"
 #include "fleet/slo.h"
+#include "fleet/tick_core.h"
 #include "obs/flight_recorder.h"
 #include "obs/level.h"
 #include "obs/scope.h"
@@ -35,30 +35,31 @@ void ChaosStats::MergeFrom(const ChaosStats& other) {
 // here is synchronized.
 struct ChaosFleetRunner::Worker {
   Worker(const ChaosOptions& options, size_t worker_index)
-      : index(worker_index), pool([&options] {
-          auto session = std::make_unique<Session>();
-          session->policy = options.policy_factory();
-          return session;
-        }) {}
-
-  struct Live {
-    std::unique_ptr<Session> session;
-    size_t job_index = 0;
-  };
+      : index(worker_index), core([&] {
+          TickCoreOptions core;
+          core.policy_factory = options.policy_factory;
+          core.rounds_per_tick = options.rounds_per_tick;
+          core.shard = worker_index;
+          core.slo = options.slo;
+          if (options.recorder != nullptr) {
+            core.ring = options.recorder->Ring("chaos.worker" +
+                                               std::to_string(worker_index));
+          }
+          core.scope = options.scope;
+          core.trace_label = options.trace_label;
+          return core;
+        }()) {}
 
   const size_t index;
-  SessionPool<Session> pool;
-  std::vector<Live> live;
+  TickCore core;
   std::vector<size_t> waiting;       // job indices, admission order
   std::vector<Checkpoint> incoming;  // restored when delay_ticks reaches 0
-  ChaosStats stats;                  // worker-side events (restores, steps)
-  obs::FlightRing* ring = nullptr;   // cached per RunAll when recording
+  ChaosStats stats;                  // worker-side restores and migrations
 };
 
 ChaosFleetRunner::ChaosFleetRunner(ChaosOptions options)
     : options_(std::move(options)), plan_rng_(options_.seed) {
   RRS_CHECK_GE(options_.num_workers, 1u);
-  RRS_CHECK_GE(options_.rounds_per_tick, 1);
   if (!options_.policy_factory) {
     const DlruEdfPolicy::Params params;
     options_.policy_factory = [params] {
@@ -79,14 +80,8 @@ void ChaosFleetRunner::TickWorker(Worker& worker,
   obs::Tracer* tracer =
       options_.scope != nullptr ? options_.scope->tracer() : nullptr;
   obs::TraceTrack* track = tracer != nullptr ? tracer->ThreadTrack() : nullptr;
-  SloTracker* slo = obs::kEnabled ? options_.slo : nullptr;
-  obs::FlightRing* ring = obs::kEnabled ? worker.ring : nullptr;
-  const uint32_t worker_tag = static_cast<uint32_t>(worker.index);
-  // One clock read per worker-tick; every event below shares it (RecordAt).
-  const uint64_t now_ns = ring != nullptr ? obs::NowNs() : 0;
 
-  // ---- Restore: resume every due checkpoint (exempt from the live cap —
-  // a checkpointed tenant must come back regardless of load). ----
+  // ---- Restore every due checkpoint (exempt from the live cap). ----
   size_t keep = 0;
   for (size_t i = 0; i < worker.incoming.size(); ++i) {
     Checkpoint& cp = worker.incoming[i];
@@ -95,95 +90,33 @@ void ChaosFleetRunner::TickWorker(Worker& worker,
       ++keep;
       continue;
     }
-    const FleetJob& job = jobs[cp.job_index];
-    auto session = worker.pool.Acquire();
-    session->engine.Reset(*job.instance, job.options);
-    snapshot::Reader reader(cp.words);
     {
       obs::Span span(tracer, track, "fleet.chaos.restore",
                      static_cast<uint64_t>(cp.job_index));
-      session->engine.RestoreRun(*session->policy, reader);
+      worker.core.Restore(cp.job_index, jobs[cp.job_index], cp.words);
     }
-    RRS_CHECK(reader.AtEnd()) << "trailing words in tenant checkpoint";
-    worker.live.push_back({std::move(session), cp.job_index});
     ++worker.stats.restores;
     if (cp.from_worker != worker.index) ++worker.stats.migrations;
-    if (ring != nullptr) {
-      ring->RecordAt(now_ns, obs::kFlightRestore, worker_tag, cp.job_index,
-                   cp.from_worker);
-    }
   }
   worker.incoming.resize(keep);
 
-  // ---- Admit: bind waiting tenants to sessions up to the live cap. ----
+  // ---- Admit waiting tenants up to the live cap. ----
   size_t admitted = 0;
   while (admitted < worker.waiting.size() &&
          (options_.max_live_sessions == 0 ||
-          worker.live.size() < options_.max_live_sessions)) {
+          worker.core.live() < options_.max_live_sessions)) {
     const size_t job_index = worker.waiting[admitted++];
-    const FleetJob& job = jobs[job_index];
-    auto session = worker.pool.Acquire();
-    session->engine.Reset(*job.instance, job.options);
-    session->engine.BeginRun(*session->policy);
-    worker.live.push_back({std::move(session), job_index});
-    if (ring != nullptr) {
-      ring->RecordAt(now_ns, obs::kFlightAdmit, worker_tag, job_index);
-    }
+    worker.core.Admit(job_index, jobs[job_index]);
   }
   worker.waiting.erase(
       worker.waiting.begin(),
       worker.waiting.begin() + static_cast<ptrdiff_t>(admitted));
 
-  // ---- Step: advance every live session one round bucket. ----
-  size_t out = 0;
-  for (size_t i = 0; i < worker.live.size(); ++i) {
-    Engine& engine = worker.live[i].session->engine;
-    obs::Span span(tracer, track, options_.trace_label,
-                   static_cast<uint64_t>(worker.live[i].job_index));
-    const Round before = engine.next_round();
-    const bool more = engine.StepRounds(options_.rounds_per_tick);
-    worker.stats.rounds_stepped +=
-        static_cast<uint64_t>(engine.next_round() - before);
-    if (more) {
-      if (slo != nullptr &&
-          slo->Observe(worker.index, worker.live[i].job_index,
-                       static_cast<uint64_t>(engine.next_round()),
-                       engine.run_cost().drops) > 0 &&
-          ring != nullptr) {
-        ring->RecordAt(now_ns, obs::kFlightSloExhausted, worker_tag,
-                     worker.live[i].job_index);
-      }
-      worker.live[out++] = std::move(worker.live[i]);
-    } else {
-      const size_t job_index = worker.live[i].job_index;
-      engine.FinishRun(results[job_index]);
-      ++worker.stats.sessions_completed;
-      worker.pool.Release(std::move(worker.live[i].session));
-      if (slo != nullptr) {
-        const uint32_t exhausted =
-            slo->Finish(worker.index, job_index, *jobs[job_index].instance,
-                        results[job_index]);
-        if (exhausted > 0 && ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, worker_tag,
-                         job_index);
-        }
-      }
-      if (ring != nullptr) {
-        ring->RecordAt(now_ns, obs::kFlightFinish, worker_tag, job_index,
-                     results[job_index].cost.drops);
-      }
-    }
-  }
-  worker.live.resize(out);
-  if (ring != nullptr) {
-    ring->RecordAt(now_ns, obs::kFlightTick, worker_tag,
-                   worker.stats.rounds_stepped);
-  }
-  if (slo != nullptr) slo->Publish(worker.index);
+  ResultSink sink(results);
+  worker.core.Step(sink);
 }
 
-bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
-  (void)jobs;
+bool ChaosFleetRunner::InjectFaults() {
   obs::Tracer* tracer =
       options_.scope != nullptr ? options_.scope->tracer() : nullptr;
   obs::TraceTrack* track = tracer != nullptr ? tracer->ThreadTrack() : nullptr;
@@ -199,20 +132,16 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
     }
   }
 
-  // Snapshot one live session into a Checkpoint and tear it down (shared by
-  // the kill and evict paths). The pooled session object survives as
-  // reusable capacity; the run state lives on only in the checkpoint words.
+  // Evicts one live session into a Checkpoint (shared by the kill and evict
+  // paths). The pooled session survives as reusable capacity; the run state
+  // lives on only in the checkpoint words.
   auto checkpoint = [&](Worker& worker, size_t live_index,
                         uint32_t delay_ticks) {
-    Worker::Live& entry = worker.live[live_index];
     Checkpoint cp;
-    cp.job_index = entry.job_index;
+    cp.job_index = worker.core.tenant(live_index);
     cp.delay_ticks = delay_ticks;
     cp.from_worker = worker.index;
-    snapshot_scratch_.Clear();
-    entry.session->engine.SnapshotRun(snapshot_scratch_);
-    entry.session->engine.AbortRun();
-    worker.pool.Release(std::move(entry.session));
+    worker.core.Evict(live_index, &snapshot_scratch_);
     cp.words = snapshot_scratch_.words();
     stats_.snapshot_words += cp.words.size();
     return cp;
@@ -222,39 +151,40 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
   if (num_workers > 1 && plan_rng_.Bernoulli(options_.kill_worker_prob)) {
     const size_t victim = plan_rng_.NextBounded(num_workers);
     Worker& worker = *workers_[victim];
-    if (worker.live.empty()) {
+    const size_t victims = worker.core.sessions();
+    if (victims == 0) {
       ++stats_.noop_faults;
     } else {
       obs::Span span(tracer, track, "fleet.chaos.kill",
-                     static_cast<uint64_t>(worker.live.size()));
+                     static_cast<uint64_t>(victims));
       ++stats_.kills;
       if (ring != nullptr) {
         ring->Record(obs::kFlightKillWorker, static_cast<uint32_t>(victim),
-                     worker.live.size());
+                     victims);
       }
-      // Checkpoint every live tenant on the victim and deal the snapshots
-      // round-robin to the surviving workers for immediate restore.
+      // Checkpoint every live tenant on the victim, in order, and deal the
+      // snapshots round-robin to the surviving workers for immediate
+      // restore.
       size_t target = victim;
-      for (size_t i = 0; i < worker.live.size(); ++i) {
+      while (worker.core.sessions() > 0) {
         target = (target + 1) % num_workers;
         if (target == victim) target = (target + 1) % num_workers;
-        workers_[target]->incoming.push_back(checkpoint(worker, i, 0));
+        workers_[target]->incoming.push_back(checkpoint(worker, 0, 0));
       }
-      worker.live.clear();
     }
   }
 
   // ---- evict-and-restore (possibly delayed) -----------------------------
   if (plan_rng_.Bernoulli(options_.evict_prob)) {
     size_t total_live = 0;
-    for (const auto& worker : workers_) total_live += worker->live.size();
+    for (const auto& worker : workers_) total_live += worker->core.sessions();
     if (total_live == 0) {
       ++stats_.noop_faults;
     } else {
       size_t pick = plan_rng_.NextBounded(total_live);
       size_t source = 0;
-      while (pick >= workers_[source]->live.size()) {
-        pick -= workers_[source]->live.size();
+      while (pick >= workers_[source]->core.sessions()) {
+        pick -= workers_[source]->core.sessions();
         ++source;
       }
       uint32_t delay = 0;
@@ -266,14 +196,13 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
       }
       const size_t target = plan_rng_.NextBounded(num_workers);
       Worker& worker = *workers_[source];
-      obs::Span span(tracer, track, "fleet.chaos.evict",
-                     static_cast<uint64_t>(worker.live[pick].job_index));
+      const uint64_t job_index = worker.core.tenant(pick);
+      obs::Span span(tracer, track, "fleet.chaos.evict", job_index);
       if (ring != nullptr) {
         ring->Record(obs::kFlightEvict, static_cast<uint32_t>(source),
-                     worker.live[pick].job_index, delay);
+                     job_index, delay);
       }
       workers_[target]->incoming.push_back(checkpoint(worker, pick, delay));
-      worker.live.erase(worker.live.begin() + static_cast<ptrdiff_t>(pick));
       ++stats_.evictions;
     }
   }
@@ -306,7 +235,7 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
   }
 
   for (const auto& worker : workers_) {
-    if (!worker->live.empty() || !worker->waiting.empty() ||
+    if (worker->core.live() > 0 || !worker->waiting.empty() ||
         !worker->incoming.empty()) {
       return true;
     }
@@ -324,18 +253,11 @@ std::vector<RunResult> ChaosFleetRunner::RunAll(
     options_.slo->Bind(jobs.size(), num_workers);
   }
   coord_ring_ = nullptr;
-  for (auto& worker : workers_) worker->ring = nullptr;
   if (obs::kEnabled && options_.recorder != nullptr) {
     coord_ring_ = options_.recorder->Ring("chaos.coord");
-    for (auto& worker : workers_) {
-      worker->ring =
-          options_.recorder->Ring("chaos.worker" +
-                                  std::to_string(worker->index));
-    }
   }
 
   for (size_t j = 0; j < jobs.size(); ++j) {
-    RRS_CHECK(jobs[j].instance != nullptr);
     RRS_CHECK(jobs[j].kind == FleetJob::Kind::kReplay)
         << "ChaosFleetRunner supports replay jobs only";
     RRS_CHECK(!jobs[j].options.record_schedule)
@@ -354,7 +276,7 @@ std::vector<RunResult> ChaosFleetRunner::RunAll(
                                results);
                   });
     }
-    more = InjectFaults(jobs);
+    more = InjectFaults();
   }
 
   if (options_.scope != nullptr) {
@@ -386,7 +308,12 @@ std::vector<RunResult> ChaosFleetRunner::RunAll(
 
 ChaosStats ChaosFleetRunner::stats() const {
   ChaosStats total = stats_;
-  for (const auto& worker : workers_) total.MergeFrom(worker->stats);
+  for (const auto& worker : workers_) {
+    total.MergeFrom(worker->stats);
+    const FleetStats core = worker->core.stats();
+    total.sessions_completed += core.sessions_completed;
+    total.rounds_stepped += core.rounds_stepped;
+  }
   return total;
 }
 

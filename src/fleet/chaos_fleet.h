@@ -2,13 +2,15 @@
 // snapshot layer (snapshot/codec.h, Engine::SnapshotRun/RestoreRun).
 //
 // The runner multiplexes replay tenants across workers exactly like
-// fleet/FleetRunner, but advances the whole fleet in *lock-step global
-// ticks*: every worker steps its live sessions one round bucket in parallel,
-// then a single-threaded coordinator injects faults drawn from a seeded plan
-// RNG at the tick barrier. Because worker state is disjoint within a tick
-// and every fault decision happens in the serial coordinator, the entire
-// execution — fault plan, migration targets, final results — is a pure
-// function of (jobs, options.seed), independent of thread count.
+// fleet/FleetRunner — each worker is one fleet::TickCore
+// (fleet/tick_core.h) — but advances the whole fleet in *lock-step global
+// ticks*: every worker steps its live sessions one round bucket in
+// parallel, then a single-threaded coordinator injects faults drawn from a
+// seeded plan RNG at the tick barrier. Because worker state is disjoint
+// within a tick and every fault decision happens in the serial
+// coordinator, the entire execution — fault plan, migration targets, final
+// results — is a pure function of (jobs, options.seed), independent of
+// thread count.
 //
 // Fault kinds (all driven by the plan RNG, all at round boundaries):
 //
@@ -127,6 +129,7 @@ class ChaosFleetRunner {
   // one RunResult per job, in job order. Only replay jobs are supported
   // (pipeline tenants run to completion within one admission and present no
   // checkpoint seam; schedule-recording runs cannot be snapshotted).
+  // Streaming jobs checkpoint their source state with the engine's.
   std::vector<RunResult> RunAll(std::span<const FleetJob> jobs);
 
   // Stats accumulated over all RunAll calls so far (coordinator events plus
@@ -136,10 +139,6 @@ class ChaosFleetRunner {
   size_t num_workers() const { return workers_.size(); }
 
  private:
-  struct Session {
-    Engine engine;
-    std::unique_ptr<SchedulerPolicy> policy;
-  };
   // A tenant checkpoint in transit between workers (or in delayed-restore
   // limbo): the codec words plus where it came from.
   struct Checkpoint {
@@ -150,11 +149,13 @@ class ChaosFleetRunner {
   };
   struct Worker;
 
+  // One worker's tick on its TickCore: restore due checkpoints, admit
+  // waiting tenants up to the live cap, step.
   void TickWorker(Worker& worker, std::span<const FleetJob> jobs,
                   std::span<RunResult> results);
   // Serial fault injection at the tick barrier; returns true while any work
   // (live, waiting, or checkpointed) remains anywhere.
-  bool InjectFaults(std::span<const FleetJob> jobs);
+  bool InjectFaults();
 
   ChaosOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;

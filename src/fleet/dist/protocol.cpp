@@ -112,7 +112,6 @@ void PutConfig(snapshot::Writer& w, const WireConfig& config) {
   w.BeginSection(snapshot::kTagDistMsg);
   w.PutI64(config.rounds_per_tick);
   w.PutU64(config.max_live_sessions);
-  w.PutU32(config.threads);
   w.PutBool(config.collect_results);
   w.PutBool(config.report_slo);
   w.PutBool(config.report_trace);
@@ -127,7 +126,6 @@ WireConfig GetConfig(snapshot::Reader& r) {
   r.BeginSection(snapshot::kTagDistMsg);
   config.rounds_per_tick = r.GetI64();
   config.max_live_sessions = r.GetU64();
-  config.threads = r.GetU32();
   config.collect_results = r.GetBool();
   config.report_slo = r.GetBool();
   config.report_trace = r.GetBool();

@@ -40,7 +40,9 @@ namespace dist {
 // v2: TenantSpec carries source_id; kMsgAddSources ships GeneratorSpec
 // tables so streaming tenants travel as O(colors) specs, not O(jobs)
 // instances.
-inline constexpr uint64_t kProtocolVersion = 2;
+// v3: WireConfig drops the worker-internal thread count (a worker runs one
+// fleet::TickCore; worker processes provide the parallelism).
+inline constexpr uint64_t kProtocolVersion = 3;
 
 enum MsgType : uint64_t {
   kMsgHello = 1,           // worker -> ctl: index, pid, protocol, metrics port
@@ -75,7 +77,6 @@ struct HelloInfo {
 struct WireConfig {
   Round rounds_per_tick = 64;
   uint64_t max_live_sessions = 0;  // per worker; 0 = unbounded
-  uint32_t threads = 0;            // worker-internal pool threads; 0 = serial
   bool collect_results = true;     // ship full RunResults on completion
   bool report_slo = true;          // per-live-tenant progress rows per tick
   bool report_trace = false;       // per-round accumulator rows (digests)

@@ -6,23 +6,21 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/instance.h"
-#include "core/session.h"
 #include "fleet/dist/protocol.h"
+#include "fleet/tick_core.h"
 #include "net/socket.h"
 #include "obs/export_server.h"
 #include "obs/level.h"
 #include "obs/scope.h"
-#include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 #include "sched/registry.h"
 #include "util/check.h"
-#include "workload/arrival_source.h"
 #include "workload/generator_spec.h"
 
 namespace rrs {
@@ -38,36 +36,35 @@ uint64_t WallNs() {
           .count());
 }
 
-struct Session {
-  Engine engine;
-  std::unique_ptr<SchedulerPolicy> policy;
-};
+// The wire report's side of a tick: completions, per-tenant SLO progress
+// and per-round trace rows, as the config asks for them.
+class ReportSink final : public TickSink {
+ public:
+  ReportSink(const WireConfig& config, TickReport& report)
+      : config_(config), report_(report) {}
 
-struct Live {
-  std::unique_ptr<Session> session;
-  TenantSpec spec;
-  // Streaming tenants: the instantiated source the engine pulls from (the
-  // engine holds a reference; null for instance-fed tenants).
-  std::unique_ptr<workload::ArrivalSource> source;
-};
+  RunResult& Completion(uint64_t tenant) override {
+    report_.completed.emplace_back();
+    report_.completed.back().tenant = tenant;
+    return report_.completed.back().result;
+  }
 
-// One shard: touched by exactly one thread per tick, so nothing here is
-// synchronized. The scratch vectors are the shard's slice of the TickReport,
-// merged (and sorted by tenant) at the barrier.
-struct Shard {
-  explicit Shard(SessionPool<Session>::Factory factory)
-      : pool(std::move(factory)) {}
+  void Progress(uint64_t tenant, uint64_t rounds,
+                const CostBreakdown& cost) override {
+    if (config_.report_slo) report_.slo.push_back({tenant, rounds, cost.drops});
+  }
 
-  SessionPool<Session> pool;
-  std::vector<Live> live;
+  // Single-round rows: the exact fold the golden-trace digests hash,
+  // resumable across migrations because every row carries its round.
+  void Round(uint64_t tenant, uint64_t round, const CostBreakdown& cost,
+             uint64_t executed) override {
+    report_.trace.push_back({tenant, round, cost.reconfigurations, cost.drops,
+                             cost.weighted_drops, executed});
+  }
 
-  // Per-tick scratch, cleared at the top of every step phase.
-  std::vector<TenantResult> completed;
-  std::vector<TenantProgress> slo;
-  std::vector<TraceRow> trace;
-  std::vector<TenantCheckpoint> checkpoints;
-  uint64_t rounds_stepped = 0;
-  snapshot::Writer snapshot_scratch;
+ private:
+  const WireConfig& config_;
+  TickReport& report_;
 };
 
 class Worker {
@@ -145,28 +142,22 @@ class Worker {
   }
 
   void HandleConfig(snapshot::Reader& reader) {
-    RRS_CHECK(shards_.empty()) << "duplicate Config";
+    RRS_CHECK(core_ == nullptr) << "duplicate Config";
     config_ = GetConfig(reader);
-    RRS_CHECK_GE(config_.rounds_per_tick, 1);
+    TickCoreOptions core;
     const std::string policy =
         config_.policy.empty() ? std::string("dlru-edf") : config_.policy;
     // Every session gets its own policy instance from the registry; a
     // restored tenant resumes on a fresh one (RestoreRun reloads its state).
-    auto factory = [policy] {
-      auto session = std::make_unique<Session>();
-      session->policy = MakePolicy(policy);
-      RRS_CHECK(session->policy != nullptr)
-          << "unknown policy in worker config: " << policy;
-      return session;
+    core.policy_factory = [policy] {
+      std::unique_ptr<SchedulerPolicy> made = MakePolicy(policy);
+      RRS_CHECK(made != nullptr) << "unknown policy in worker config: "
+                                 << policy;
+      return made;
     };
-    const size_t num_shards = std::max<uint32_t>(1, config_.threads);
-    shards_.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(factory));
-    }
-    if (config_.threads > 0) {
-      pool_ = std::make_unique<ThreadPool>(config_.threads);
-    }
+    core.rounds_per_tick = config_.rounds_per_tick;
+    core.trace_rounds = config_.report_trace;
+    core_ = std::make_unique<TickCore>(std::move(core));
     uint64_t metrics_port = 0;
     if (config_.serve_metrics && obs::kEnabled) {
       scope_ = std::make_unique<obs::Scope>();
@@ -223,103 +214,84 @@ class Worker {
     Send(kMsgConfigAck);
   }
 
-  const Instance& InstanceOf(const TenantSpec& spec) const {
-    const auto it = instances_.find(spec.instance_id);
-    RRS_CHECK(it != instances_.end())
-        << "tenant " << spec.tenant << " references unknown instance "
-        << spec.instance_id;
-    return it->second;
-  }
-
-  // Instantiates a streaming tenant's source from the shipped spec table
-  // (null for instance-fed tenants). The spec is deterministic, so every
-  // instantiation — admission here, restore on a migration target — yields
-  // the same stream.
-  std::unique_ptr<workload::ArrivalSource> SourceOf(
-      const TenantSpec& spec) const {
-    if (spec.source_id == kNoSourceId) return nullptr;
-    const auto it = sources_.find(spec.source_id);
-    RRS_CHECK(it != sources_.end())
-        << "tenant " << spec.tenant << " references unknown source "
-        << spec.source_id;
-    return workload::MakeSource(it->second);
-  }
-
-  size_t TotalLive() const {
-    size_t live = 0;
-    for (const auto& shard : shards_) live += shard->live.size();
-    return live;
+  // The tenant as a FleetJob for the core: instance-fed from the shipped
+  // instance table, or streaming from the shipped spec table. The spec is
+  // deterministic, so every instantiation — admission here, restore on a
+  // migration target — yields the same stream.
+  FleetJob JobOf(const TenantSpec& spec) const {
+    FleetJob job;
+    job.options = spec.options.ToEngineOptions();
+    if (spec.source_id != kNoSourceId) {
+      const auto it = sources_.find(spec.source_id);
+      RRS_CHECK(it != sources_.end())
+          << "tenant " << spec.tenant << " references unknown source "
+          << spec.source_id;
+      job.source_spec = &it->second;
+    } else {
+      const auto it = instances_.find(spec.instance_id);
+      RRS_CHECK(it != instances_.end())
+          << "tenant " << spec.tenant << " references unknown instance "
+          << spec.instance_id;
+      job.instance = &it->second;
+    }
+    return job;
   }
 
   void HandleTick(snapshot::Reader& reader) {
-    RRS_CHECK(!shards_.empty()) << "Tick before Config";
+    RRS_CHECK(core_ != nullptr) << "Tick before Config";
     const TickCmd cmd = GetTickCmd(reader);
+    TickCore& core = *core_;
 
-    // ---- Admit: bind waiting tenants to pooled sessions, round-robin over
-    // shards in admission order, up to the worker-wide live cap. ----
-    size_t total_live = TotalLive();
+    // ---- Admit waiting tenants, in admission order, up to the live cap.
     size_t admitted = 0;
     while (admitted < waiting_.size() &&
            (config_.max_live_sessions == 0 ||
-            total_live < config_.max_live_sessions)) {
+            core.live() < config_.max_live_sessions)) {
       const TenantSpec& spec = waiting_[admitted++];
-      Shard& shard = *shards_[admit_counter_++ % shards_.size()];
-      auto session = shard.pool.Acquire();
-      std::unique_ptr<workload::ArrivalSource> source = SourceOf(spec);
-      if (source != nullptr) {
-        session->engine.Reset(*source, spec.options.ToEngineOptions());
-      } else {
-        session->engine.Reset(InstanceOf(spec),
-                              spec.options.ToEngineOptions());
-      }
-      session->engine.BeginRun(*session->policy);
-      shard.live.push_back({std::move(session), spec, std::move(source)});
-      ++total_live;
+      core.Admit(spec.tenant, JobOf(spec));
     }
     waiting_.erase(waiting_.begin(),
                    waiting_.begin() + static_cast<ptrdiff_t>(admitted));
 
-    // ---- Step: every shard advances its live sessions one round bucket;
-    // shards run in parallel on the internal pool, each touched by exactly
-    // one thread. ----
-    const uint64_t step_start = WallNs();
-    auto step_shard = [&](int64_t s) {
-      StepShard(*shards_[static_cast<size_t>(s)], cmd.checkpoint);
-    };
-    if (pool_ != nullptr) {
-      ParallelFor(*pool_, 0, static_cast<int64_t>(shards_.size()), step_shard);
-    } else {
-      for (int64_t s = 0; s < static_cast<int64_t>(shards_.size()); ++s) {
-        step_shard(s);
-      }
-    }
-    const uint64_t tick_wall_ns = WallNs() - step_start;
-
-    // ---- Barrier: merge shard slices into one report, sorted by tenant so
-    // the controller's view is shard-count-invariant. ----
+    // ---- Step every live tenant one round bucket. ----
     TickReport report;
     report.tick = cmd.tick;
-    report.tick_wall_ns = tick_wall_ns;
+    ReportSink sink(config_, report);
+    const uint64_t rounds_before = core.stats().rounds_stepped;
+    const uint64_t step_start = WallNs();
+    core.Step(sink);
+    report.tick_wall_ns = WallNs() - step_start;
+    report.rounds_stepped = core.stats().rounds_stepped - rounds_before;
+    report.live = core.live();
     report.waiting = waiting_.size();
-    for (auto& shard : shards_) {
-      report.rounds_stepped += shard->rounds_stepped;
-      report.live += shard->live.size();
-      std::move(shard->completed.begin(), shard->completed.end(),
-                std::back_inserter(report.completed));
-      report.slo.insert(report.slo.end(), shard->slo.begin(),
-                        shard->slo.end());
-      report.trace.insert(report.trace.end(), shard->trace.begin(),
-                          shard->trace.end());
-      std::move(shard->checkpoints.begin(), shard->checkpoints.end(),
-                std::back_inserter(report.checkpoints));
+    if (!config_.collect_results) {
+      // Completion signal only: keep the scalars (cheap, and enough for the
+      // controller's accounting), drop the per-color vectors and counter
+      // map that dominate the wire at 1M tenants.
+      for (TenantResult& done : report.completed) {
+        done.result.drops_per_color.clear();
+        done.result.telemetry = obs::Telemetry();
+      }
     }
+    if (cmd.checkpoint) {
+      for (size_t i = 0; i < core.sessions(); ++i) {
+        core.Checkpoint(i, snapshot_scratch_);
+        const uint64_t round =
+            static_cast<uint64_t>(core.engine(i).next_round());
+        report.checkpoints.push_back(
+            {core.tenant(i), round, snapshot_scratch_.words()});
+      }
+    }
+
+    // ---- Barrier: rows sorted by tenant, so the controller's view does
+    // not depend on admission or restore order. ----
     auto by_tenant = [](const auto& a, const auto& b) {
       return a.tenant < b.tenant;
     };
     std::sort(report.completed.begin(), report.completed.end(), by_tenant);
     std::sort(report.slo.begin(), report.slo.end(), by_tenant);
-    // Trace rows: per-tenant round order is already ascending within a
-    // shard; stable sort keeps it while grouping tenants.
+    // Trace rows: per-tenant round order is already ascending; stable sort
+    // keeps it while grouping tenants.
     std::stable_sort(report.trace.begin(), report.trace.end(), by_tenant);
     std::sort(report.checkpoints.begin(), report.checkpoints.end(),
               by_tenant);
@@ -347,117 +319,32 @@ class Worker {
     Send(kMsgTickDone);
   }
 
-  void StepShard(Shard& shard, bool checkpoint) {
-    shard.completed.clear();
-    shard.slo.clear();
-    shard.trace.clear();
-    shard.checkpoints.clear();
-    shard.rounds_stepped = 0;
-    size_t out = 0;
-    for (size_t i = 0; i < shard.live.size(); ++i) {
-      Live& entry = shard.live[i];
-      Engine& engine = entry.session->engine;
-      const Round before = engine.next_round();
-      bool more = true;
-      if (config_.report_trace) {
-        // Single-round stepping with one trace row per round: the exact
-        // fold the golden-trace digests hash, resumable across migrations
-        // because every row carries its round.
-        for (Round r = 0; more && r < config_.rounds_per_tick; ++r) {
-          more = engine.StepRounds(1);
-          const CostBreakdown& cost = engine.run_cost();
-          shard.trace.push_back({entry.spec.tenant,
-                                 static_cast<uint64_t>(engine.next_round()),
-                                 cost.reconfigurations, cost.drops,
-                                 cost.weighted_drops, engine.run_executed()});
-        }
-      } else {
-        more = engine.StepRounds(config_.rounds_per_tick);
-      }
-      shard.rounds_stepped +=
-          static_cast<uint64_t>(engine.next_round() - before);
-      if (more) {
-        if (config_.report_slo) {
-          shard.slo.push_back({entry.spec.tenant,
-                               static_cast<uint64_t>(engine.next_round()),
-                               engine.run_cost().drops});
-        }
-        if (checkpoint) {
-          shard.snapshot_scratch.Clear();
-          engine.SnapshotRun(shard.snapshot_scratch);
-          // Streaming tenants: the source's own sections ride in the same
-          // checkpoint words, right after the engine's (RestoreRun consumes
-          // them through its source_state reader).
-          if (entry.source != nullptr) {
-            entry.source->SaveState(shard.snapshot_scratch);
-          }
-          shard.checkpoints.push_back(
-              {entry.spec.tenant, static_cast<uint64_t>(engine.next_round()),
-               shard.snapshot_scratch.words()});
-        }
-        if (out != i) shard.live[out] = std::move(shard.live[i]);
-        ++out;
-      } else {
-        TenantResult done;
-        done.tenant = entry.spec.tenant;
-        engine.FinishRun(done.result);
-        if (!config_.collect_results) {
-          // Completion signal only: keep the scalars (cheap, and enough for
-          // the controller's accounting), drop the per-color vectors and
-          // counter map that dominate the wire at 1M tenants.
-          done.result.drops_per_color.clear();
-          done.result.telemetry = obs::Telemetry();
-        }
-        shard.completed.push_back(std::move(done));
-        shard.pool.Release(std::move(entry.session));
-      }
-    }
-    shard.live.resize(out);
-  }
-
-  // Finds a live tenant; returns (shard, index) or (nullptr, 0).
-  std::pair<Shard*, size_t> FindLive(uint64_t tenant) {
-    for (auto& shard : shards_) {
-      for (size_t i = 0; i < shard->live.size(); ++i) {
-        if (shard->live[i].spec.tenant == tenant) return {shard.get(), i};
-      }
-    }
-    return {nullptr, 0};
-  }
-
-  void RemoveLive(Shard& shard, size_t index) {
-    shard.live[index] = std::move(shard.live.back());
-    shard.live.pop_back();
+  // Drops a not-yet-admitted tenant from the waiting queue; returns whether
+  // it was there.
+  bool DropWaiting(uint64_t tenant) {
+    const auto it = std::find_if(
+        waiting_.begin(), waiting_.end(),
+        [tenant](const TenantSpec& spec) { return spec.tenant == tenant; });
+    if (it == waiting_.end()) return false;
+    waiting_.erase(it);
+    return true;
   }
 
   void HandleSnapshotTenant(snapshot::Reader& reader) {
     const uint64_t tenant = GetTenantId(reader);
     SnapshotReply out;
     out.checkpoint.tenant = tenant;
-    auto [shard, index] = FindLive(tenant);
-    if (shard != nullptr) {
-      Live& entry = shard->live[index];
+    const std::optional<size_t> live =
+        core_ != nullptr ? core_->Find(tenant) : std::nullopt;
+    if (live.has_value()) {
       out.state = kTenantLive;
       out.checkpoint.round =
-          static_cast<uint64_t>(entry.session->engine.next_round());
-      shard->snapshot_scratch.Clear();
-      entry.session->engine.SnapshotRun(shard->snapshot_scratch);
-      if (entry.source != nullptr) {
-        entry.source->SaveState(shard->snapshot_scratch);
-      }
-      entry.session->engine.AbortRun();
-      out.checkpoint.words = shard->snapshot_scratch.words();
-      shard->pool.Release(std::move(entry.session));
-      RemoveLive(*shard, index);
+          static_cast<uint64_t>(core_->engine(*live).next_round());
+      core_->Evict(*live, &snapshot_scratch_);
+      out.checkpoint.words = snapshot_scratch_.words();
       ++stats_.snapshots;
-    } else {
-      const auto it = std::find_if(
-          waiting_.begin(), waiting_.end(),
-          [tenant](const TenantSpec& spec) { return spec.tenant == tenant; });
-      if (it != waiting_.end()) {
-        out.state = kTenantWaiting;
-        waiting_.erase(it);
-      }
+    } else if (DropWaiting(tenant)) {
+      out.state = kTenantWaiting;
     }
     reply_.Clear();
     PutSnapshotReply(reply_, out);
@@ -465,35 +352,18 @@ class Worker {
   }
 
   void HandleRestoreTenant(snapshot::Reader& reader) {
-    RRS_CHECK(!shards_.empty()) << "Restore before Config";
+    RRS_CHECK(core_ != nullptr) << "Restore before Config";
     std::vector<TenantSpec> specs;
     GetTenantSpecs(reader, &specs);
     RRS_CHECK_EQ(specs.size(), 1u);
     TenantCheckpoint checkpoint;
     GetCheckpoint(reader, &checkpoint);
     RRS_CHECK_EQ(specs[0].tenant, checkpoint.tenant);
-    const TenantSpec& spec = specs[0];
-    // Restores are exempt from the live cap: a checkpointed tenant must
-    // come back regardless of load (same rule as ChaosFleetRunner).
-    Shard& shard = *shards_[admit_counter_++ % shards_.size()];
-    auto session = shard.pool.Acquire();
-    std::unique_ptr<workload::ArrivalSource> source = SourceOf(spec);
-    snapshot::Reader words(checkpoint.words);
-    if (source != nullptr) {
-      // The source's saved sections sit right after the engine's in the
-      // same word stream; passing the reader as its own source_state makes
-      // RestoreRun consume them in place (O(source state), no replay).
-      session->engine.Reset(*source, spec.options.ToEngineOptions());
-      session->engine.RestoreRun(*session->policy, words, &words);
-    } else {
-      session->engine.Reset(InstanceOf(spec), spec.options.ToEngineOptions());
-      session->engine.RestoreRun(*session->policy, words);
-    }
-    RRS_CHECK(words.AtEnd()) << "trailing words in tenant checkpoint";
-    shard.live.push_back({std::move(session), spec, std::move(source)});
+    // Restores are exempt from the live cap (same rule as ChaosFleetRunner).
+    core_->Restore(specs[0].tenant, JobOf(specs[0]), checkpoint.words);
     ++stats_.restores;
     reply_.Clear();
-    PutTenantId(reply_, spec.tenant);
+    PutTenantId(reply_, specs[0].tenant);
     Send(kMsgRestoreAck);
   }
 
@@ -501,23 +371,16 @@ class Worker {
     const uint64_t tenant = GetTenantId(reader);
     ShedInfo info;
     info.tenant = tenant;
-    auto [shard, index] = FindLive(tenant);
-    if (shard != nullptr) {
-      Live& entry = shard->live[index];
+    const std::optional<size_t> live =
+        core_ != nullptr ? core_->Find(tenant) : std::nullopt;
+    if (live.has_value()) {
+      const Engine& engine = core_->engine(*live);
       info.state = kTenantLive;
-      info.rounds = static_cast<uint64_t>(entry.session->engine.next_round());
-      info.misses = entry.session->engine.run_cost().drops;
-      entry.session->engine.AbortRun();
-      shard->pool.Release(std::move(entry.session));
-      RemoveLive(*shard, index);
-    } else {
-      const auto it = std::find_if(
-          waiting_.begin(), waiting_.end(),
-          [tenant](const TenantSpec& spec) { return spec.tenant == tenant; });
-      if (it != waiting_.end()) {
-        info.state = kTenantWaiting;
-        waiting_.erase(it);
-      }
+      info.rounds = static_cast<uint64_t>(engine.next_round());
+      info.misses = engine.run_cost().drops;
+      core_->Evict(*live, nullptr);
+    } else if (DropWaiting(tenant)) {
+      info.state = kTenantWaiting;
     }
     reply_.Clear();
     PutShedInfo(reply_, info);
@@ -529,14 +392,13 @@ class Worker {
   WireConfig config_;
   std::map<uint32_t, Instance> instances_;
   std::map<uint32_t, workload::GeneratorSpec> sources_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<TickCore> core_;   // built by Config
   std::vector<TenantSpec> waiting_;  // admission order
-  size_t admit_counter_ = 0;         // shard round-robin cursor
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<obs::Scope> scope_;
   std::unique_ptr<obs::ExportServer> exporter_;
   WorkerStats stats_;
   snapshot::Writer reply_;
+  snapshot::Writer snapshot_scratch_;
 };
 
 }  // namespace

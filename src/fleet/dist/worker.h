@@ -1,24 +1,23 @@
-// The worker side of the distributed fleet: one process hosting a sharded
-// batch of live sessions, driven entirely by protocol frames on its control
-// socket.
+// The worker side of the distributed fleet: one process hosting one
+// fleet::TickCore (fleet/tick_core.h) of live sessions, driven entirely by
+// protocol frames on its control socket.
 //
 // WorkerMain is the whole worker — an event loop that blocks on RecvFrame
-// and dispatches: Config builds the shards (SessionPools of Engine + a
-// registry policy each, an optional internal ThreadPool, an optional
-// metrics ExportServer); AddInstances/AddTenants install work; Tick admits
-// waiting tenants up to the live cap, steps every live session one round
-// bucket (shards in parallel on the internal pool), and replies with a
-// TickReport carrying completions, per-tenant SLO progress rows, optional
-// per-round trace rows, and — when the controller asks — a checkpoint of
-// every still-live tenant; Snapshot/Restore/Shed implement the migration
-// and failover edges. Shutdown replies Bye with lifetime totals and
-// returns.
+// and dispatches: Config builds the core (pooled Engine sessions with a
+// registry policy each) and an optional metrics ExportServer;
+// AddInstances/AddTenants/AddSources install work; Tick admits waiting
+// tenants up to the live cap, steps every live session one round bucket,
+// and replies with a TickReport carrying completions, per-tenant SLO
+// progress rows, optional per-round trace rows, and — when the controller
+// asks — a checkpoint of every still-live tenant; Snapshot/Restore/Shed
+// implement the migration and failover edges on the core's checkpoint,
+// evict and restore operations. Shutdown replies Bye with lifetime totals
+// and returns.
 //
-// Determinism: shard assignment is admission-order round-robin, every shard
-// is touched by exactly one thread per tick, and all report rows are merged
-// in shard order then sorted by tenant — so a worker's observable behavior
-// is a pure function of the frame sequence it receives, independent of its
-// internal thread count.
+// Determinism: the core is single-threaded and every report's rows are
+// sorted by tenant, so a worker's observable behavior is a pure function of
+// the frame sequence it receives. Parallelism comes from running several
+// worker processes.
 //
 // Normally entered in a freshly forked child (DistController::Start); tests
 // may also run it on a thread in-process against one end of a socketpair —

@@ -1,18 +1,18 @@
 #include "fleet/fleet_runner.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
-#include "fleet/batch_engine.h"
 #include "fleet/slo.h"
+#include "fleet/tick_core.h"
 #include "obs/flight_recorder.h"
+#include "obs/level.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "util/check.h"
-#include "workload/arrival_source.h"
-#include "workload/generator_spec.h"
 
 namespace rrs {
 namespace fleet {
@@ -30,78 +30,36 @@ void FleetStats::MergeFrom(const FleetStats& other) {
   slab_rounds_stepped += other.slab_rounds_stepped;
 }
 
-namespace {
-
-// A tenant the batched engine could take in principle (shape compatibility
-// with a particular slab is checked separately).
-bool BatchEligible(const FleetJob& job) {
-  return job.kind == FleetJob::Kind::kReplay && !job.options.record_schedule &&
-         job.options.obs_scope == nullptr;
-}
-
-}  // namespace
-
-// A pooled slab: one BatchEngine plus one policy per lane (each lane's
-// tenant gets its own policy instance, rebound via Reset inside OpenLane).
-struct FleetRunner::BatchSlab {
-  BatchSlab(uint32_t width,
-            const std::function<std::unique_ptr<SchedulerPolicy>()>& factory)
-      : engine(width) {
-    policies.reserve(width);
-    for (uint32_t lane = 0; lane < width; ++lane) {
-      policies.push_back(factory());
-    }
-    job_index.assign(width, 0);
-    sources.resize(width);
-  }
-
-  BatchEngine engine;
-  std::vector<std::unique_ptr<SchedulerPolicy>> policies;
-  std::vector<size_t> job_index;  // per-lane tenant (valid for open lanes)
-  // Streaming tenants' sources, owned for the lane's lifetime (null for
-  // instance-fed lanes).
-  std::vector<std::unique_ptr<workload::ArrivalSource>> sources;
-};
-
-// Shard-local state: session pools plus the live set. Owned and touched by
-// exactly one worker per RunAll (shard → worker affinity), so nothing here
-// is synchronized.
+// Shard-local state: the tenant lifecycle core plus the pipeline pool.
+// Owned and touched by exactly one worker per RunAll (shard → worker
+// affinity), so nothing here is synchronized.
 struct FleetRunner::Shard {
-  explicit Shard(const FleetOptions& options)
-      : replay_pool([&options] {
-          auto session = std::make_unique<ReplaySession>();
-          session->policy = options.policy_factory();
-          return session;
-        }),
+  Shard(const FleetOptions& options, size_t index)
+      : core([&] {
+          TickCoreOptions core;
+          core.policy_factory = options.policy_factory;
+          core.rounds_per_tick = options.rounds_per_tick;
+          core.batch_width = options.batch_width;
+          core.shard = index;
+          core.slo = options.slo;
+          if (options.recorder != nullptr) {
+            core.ring =
+                options.recorder->Ring("fleet.shard" + std::to_string(index));
+          }
+          core.scope = options.scope;
+          core.trace_label = options.trace_label;
+          return core;
+        }()),
         pipeline_pool([&options] {
           return std::make_unique<reduce::PipelineSession>(
               options.pipeline_params);
-        }),
-        batch_pool([&options] {
-          return std::make_unique<BatchSlab>(options.batch_width,
-                                             options.policy_factory);
         }) {}
 
-  struct LiveSession {
-    std::unique_ptr<ReplaySession> session;
-    size_t job_index = 0;
-    // Streaming tenants' source, owned until the session finishes (the
-    // engine holds a reference into it).
-    std::unique_ptr<workload::ArrivalSource> source;
-  };
-
-  SessionPool<ReplaySession> replay_pool;
+  TickCore core;
   SessionPool<reduce::PipelineSession> pipeline_pool;
-  SessionPool<BatchSlab> batch_pool;
-  std::vector<LiveSession> live;
-  std::vector<std::unique_ptr<BatchSlab>> batch_live;
-  size_t batch_lanes = 0;  // open lanes across batch_live
-  FleetStats stats;
 };
 
 FleetRunner::FleetRunner(FleetOptions options) : options_(std::move(options)) {
-  RRS_CHECK_GE(options_.rounds_per_tick, 1);
-  RRS_CHECK_LE(options_.batch_width, BatchEngine::kMaxLanes);
   if (!options_.policy_factory) {
     const DlruEdfPolicy::Params params;
     options_.policy_factory = [params] {
@@ -116,7 +74,7 @@ FleetRunner::FleetRunner(FleetOptions options) : options_(std::move(options)) {
   }
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(options_));
+    shards_.push_back(std::make_unique<Shard>(options_, s));
   }
 }
 
@@ -125,257 +83,53 @@ FleetRunner::~FleetRunner() = default;
 void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
                            std::span<RunResult> results, size_t shard_index,
                            size_t stride) {
-  size_t next = shard_index;  // this shard's jobs: shard_index + k * stride
-  auto& live = shard.live;
-  RRS_CHECK(live.empty());
-  RRS_CHECK(shard.batch_live.empty());
-  const bool batching = options_.batch_width > 1;
-
-  // Per-tenant work traces onto this worker's thread track (single-writer).
+  TickCore& core = shard.core;
+  RRS_CHECK_EQ(core.live(), 0u);
+  ResultSink sink(results);
   obs::Tracer* tracer =
       options_.scope != nullptr ? options_.scope->tracer() : nullptr;
   obs::TraceTrack* track = tracer != nullptr ? tracer->ThreadTrack() : nullptr;
 
-  // SLO tracking and flight recording are shard-local and pure observation;
-  // obs::kEnabled is constexpr false at RRS_OBS_LEVEL=0, erasing both.
-  SloTracker* slo = obs::kEnabled ? options_.slo : nullptr;
-  obs::FlightRing* ring = nullptr;
-  if (obs::kEnabled && options_.recorder != nullptr) {
-    ring = options_.recorder->Ring("fleet.shard" +
-                                   std::to_string(shard_index));
-  }
-  const uint32_t shard_tag = static_cast<uint32_t>(shard_index);
-
-  while (next < jobs.size() || !live.empty() || !shard.batch_live.empty()) {
-    // One clock read per tick: every event this tick — admits, finishes,
-    // the tick mark itself — shares the barrier's stamp (see RecordAt).
-    const uint64_t now_ns = ring != nullptr ? obs::NowNs() : 0;
-
-    // ---- Admit: bind waiting tenants to sessions up to the live cap. ----
-    while (next < jobs.size() &&
-           (options_.max_live_sessions == 0 ||
-            live.size() + shard.batch_lanes < options_.max_live_sessions)) {
+  size_t next = shard_index;  // this shard's jobs: shard_index + k * stride
+  while (next < jobs.size() || core.live() > 0) {
+    // Admit waiting tenants up to the live cap; lanes count one-for-one.
+    for (; next < jobs.size() && (options_.max_live_sessions == 0 ||
+                                  core.live() < options_.max_live_sessions);
+         next += stride) {
       const FleetJob& job = jobs[next];
-      RRS_CHECK(job.instance != nullptr || job.make_source ||
-                job.source_spec != nullptr);
-      // Streaming tenants materialize their source now, at admission —
-      // queued jobs hold only the closure (or the spec).
-      std::unique_ptr<workload::ArrivalSource> source;
-      if (job.instance == nullptr) {
-        RRS_CHECK(job.kind == FleetJob::Kind::kReplay);
-        source = job.make_source ? job.make_source()
-                                 : workload::MakeSource(*job.source_spec);
-        RRS_CHECK(source != nullptr);
-      }
-      if (batching && BatchEligible(job)) {
-        const Instance& shape =
-            source != nullptr ? source->shape() : *job.instance;
-        // Pack the tenant into a filling slab of its shape (slabs only
-        // accept lanes before their first step), or start a new one.
-        const uint64_t full_mask =
-            options_.batch_width >= 64
-                ? ~uint64_t{0}
-                : (uint64_t{1} << options_.batch_width) - 1;
-        BatchSlab* slab = nullptr;
-        for (auto& candidate : shard.batch_live) {
-          if (candidate->engine.next_round() == 0 &&
-              candidate->engine.open_mask() != full_mask &&
-              candidate->engine.LaneCompatible(shape, job.options)) {
-            slab = candidate.get();
-            break;
-          }
-        }
-        if (slab == nullptr) {
-          shard.batch_live.push_back(shard.batch_pool.Acquire());
-          slab = shard.batch_live.back().get();
-          RRS_CHECK(slab->engine.empty());
-          if (ring != nullptr) {
-            ring->RecordAt(now_ns, obs::kFlightSlabOpen, shard_tag,
-                           shard.batch_live.size());
-          }
-        }
-        uint32_t lane = 0;
-        while (slab->engine.lane_open(lane)) ++lane;
-        if (source != nullptr) {
-          slab->engine.OpenLane(lane, *source, job.options,
-                                *slab->policies[lane]);
-          slab->sources[lane] = std::move(source);
-        } else {
-          slab->engine.OpenLane(lane, *job.instance, job.options,
-                                *slab->policies[lane]);
-        }
-        slab->job_index[lane] = next;
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightAdmit, shard_tag, next);
-        }
-        ++shard.batch_lanes;
-        ++shard.stats.batched_sessions;
-        shard.stats.peak_live_sessions = std::max<uint64_t>(
-            shard.stats.peak_live_sessions, live.size() + shard.batch_lanes);
-        next += stride;
+      if (job.kind == FleetJob::Kind::kReplay) {
+        core.Admit(next, job);
         continue;
       }
-      if (batching && job.kind == FleetJob::Kind::kReplay) {
-        ++shard.stats.fallback_sessions;
-      }
-      if (job.kind == FleetJob::Kind::kPipeline) {
-        RRS_CHECK(job.instance != nullptr);
-        // Pipeline tenants run to completion on admission (the pipeline's
-        // transform → run → project → validate chain has no round-bucket
-        // seam), through a pooled session so the inner engine stays warm.
-        auto session = shard.pipeline_pool.Acquire();
+      // Pipeline tenants run to completion on admission (the pipeline's
+      // transform → run → project → validate chain has no round-bucket
+      // seam), through a pooled session so the inner engine stays warm.
+      RRS_CHECK(job.instance != nullptr);
+      auto session = shard.pipeline_pool.Acquire();
+      RunResult& out = results[next];
+      {
         obs::Span span(tracer, track, options_.trace_label,
                        static_cast<uint64_t>(next));
         const reduce::PipelineResult& pipe =
             session->SolveOnline(*job.instance, job.options);
-        RunResult& out = results[next];
         out.cost = pipe.validation.cost;
         out.arrived = job.instance->num_jobs();
         out.executed = out.arrived - out.cost.drops;
         out.rounds_simulated = pipe.inner.rounds_simulated;
         out.drops_per_color = pipe.inner.drops_per_color;
         out.telemetry = pipe.inner.telemetry;
-        shard.stats.rounds_stepped +=
-            static_cast<uint64_t>(pipe.inner.rounds_simulated);
-        ++shard.stats.sessions_completed;
-        shard.pipeline_pool.Release(std::move(session));
-        if (slo != nullptr) slo->Finish(shard_index, next, *job.instance, out);
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightFinish, shard_tag, next);
-        }
-      } else {
-        auto session = shard.replay_pool.Acquire();
-        if (source != nullptr) {
-          session->engine.Reset(*source, job.options);
-        } else {
-          session->engine.Reset(*job.instance, job.options);
-        }
-        session->engine.BeginRun(*session->policy);
-        live.push_back({std::move(session), next, std::move(source)});
-        shard.stats.peak_live_sessions =
-            std::max<uint64_t>(shard.stats.peak_live_sessions, live.size());
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightAdmit, shard_tag, next);
-        }
       }
-      next += stride;
+      shard.pipeline_pool.Release(std::move(session));
+      core.Complete(next, *job.instance, out);
     }
-
-    if (live.empty() && shard.batch_live.empty()) continue;
-
-    // ---- Tick: advance every live session one round bucket. ----
-    size_t out = 0;
-    for (size_t i = 0; i < live.size(); ++i) {
-      Engine& engine = live[i].session->engine;
-      obs::Span span(tracer, track, options_.trace_label,
-                     static_cast<uint64_t>(live[i].job_index));
-      const Round before = engine.next_round();
-      const bool more = engine.StepRounds(options_.rounds_per_tick);
-      shard.stats.rounds_stepped +=
-          static_cast<uint64_t>(engine.next_round() - before);
-      const size_t job_index = live[i].job_index;
-      if (more) {
-        if (slo != nullptr &&
-            slo->Observe(shard_index, job_index,
-                         static_cast<uint64_t>(engine.next_round()),
-                         engine.run_cost().drops) > 0 &&
-            ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                         job_index);
-        }
-        live[out++] = std::move(live[i]);
-      } else {
-        engine.FinishRun(results[job_index]);
-        ++shard.stats.sessions_completed;
-        shard.replay_pool.Release(std::move(live[i].session));
-        if (slo != nullptr &&
-            slo->Finish(shard_index, job_index,
-                        live[i].source != nullptr
-                            ? live[i].source->shape()
-                            : *jobs[job_index].instance,
-                        results[job_index]) > 0 &&
-            ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                         job_index);
-        }
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightFinish, shard_tag, job_index);
-        }
-      }
-    }
-    live.resize(out);
-
-    size_t slab_out = 0;
-    for (size_t i = 0; i < shard.batch_live.size(); ++i) {
-      BatchSlab& slab = *shard.batch_live[i];
-      const uint64_t lanes_before = slab.engine.lane_rounds_stepped();
-      const uint64_t slabs_before = slab.engine.slab_rounds_stepped();
-      const bool more = slab.engine.StepRounds(options_.rounds_per_tick);
-      const uint64_t lane_delta =
-          slab.engine.lane_rounds_stepped() - lanes_before;
-      shard.stats.rounds_stepped += lane_delta;
-      shard.stats.lane_rounds_stepped += lane_delta;
-      shard.stats.slab_rounds_stepped +=
-          slab.engine.slab_rounds_stepped() - slabs_before;
-      for (uint32_t lane = 0; lane < options_.batch_width; ++lane) {
-        if (!slab.engine.lane_open(lane)) continue;
-        const size_t job_index = slab.job_index[lane];
-        if (!slab.engine.lane_done(lane)) {
-          if (slo != nullptr &&
-              slo->Observe(shard_index, job_index,
-                           static_cast<uint64_t>(slab.engine.lane_rounds(lane)),
-                           slab.engine.lane_cost(lane).drops) > 0 &&
-              ring != nullptr) {
-            ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                           job_index);
-          }
-          continue;
-        }
-        slab.engine.FinishLane(lane, results[job_index]);
-        ++shard.stats.sessions_completed;
-        --shard.batch_lanes;
-        if (slo != nullptr &&
-            slo->Finish(shard_index, job_index,
-                        slab.sources[lane] != nullptr
-                            ? slab.sources[lane]->shape()
-                            : *jobs[job_index].instance,
-                        results[job_index]) > 0 &&
-            ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                         job_index);
-        }
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightFinish, shard_tag, job_index);
-        }
-        slab.sources[lane].reset();
-      }
-      if (!more) {
-        RRS_CHECK(slab.engine.empty());
-        shard.batch_pool.Release(std::move(shard.batch_live[i]));
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSlabClose, shard_tag,
-                         shard.batch_lanes);
-        }
-      } else {
-        shard.batch_live[slab_out++] = std::move(shard.batch_live[i]);
-      }
-    }
-    shard.batch_live.resize(slab_out);
-    ++shard.stats.ticks;
-    if (ring != nullptr) {
-      ring->RecordAt(now_ns, obs::kFlightTick, shard_tag, shard.stats.ticks);
-    }
-    if (slo != nullptr) slo->Publish(shard_index);
+    core.Step(sink);
   }
 
   // Pipeline-only workloads finish inside admission without ever reaching
   // the tick barrier; a final publish makes their accounting scrapable too.
-  if (slo != nullptr) slo->Publish(shard_index);
-
-  shard.stats.sessions_created = shard.replay_pool.created() +
-                                 shard.pipeline_pool.created();
-  shard.stats.sessions_recycled = shard.replay_pool.recycled() +
-                                  shard.pipeline_pool.recycled();
+  if (obs::kEnabled && options_.slo != nullptr) {
+    options_.slo->Publish(shard_index);
+  }
 }
 
 std::vector<RunResult> FleetRunner::RunAll(std::span<const FleetJob> jobs) {
@@ -425,7 +179,12 @@ std::vector<RunResult> FleetRunner::RunAll(std::span<const FleetJob> jobs) {
 
 FleetStats FleetRunner::stats() const {
   FleetStats total;
-  for (const auto& shard : shards_) total.MergeFrom(shard->stats);
+  for (const auto& shard : shards_) {
+    FleetStats stats = shard->core.stats();
+    stats.sessions_created += shard->pipeline_pool.created();
+    stats.sessions_recycled += shard->pipeline_pool.recycled();
+    total.MergeFrom(stats);
+  }
   return total;
 }
 

@@ -12,15 +12,16 @@
 //  - shard → worker affinity: jobs are assigned to shards by index
 //    (j % num_shards) and each shard's state is touched by exactly one
 //    worker per RunAll, so shard-local session pools need no locks;
-//  - pooled session recycling: each shard owns a SessionPool of replay
-//    sessions (Engine + policy) and pipeline sessions; a tenant acquires a
-//    warm session, Reset-binds it, and returns it — after warmup the fleet
-//    allocates nothing per tenant at a fixed shape (core/session.h);
-//  - batched round-stepping: live replay sessions advance in round buckets
-//    of `rounds_per_tick` via Engine::StepRounds, interleaving thousands of
-//    concurrent tenants per shard at bounded per-tenant latency (the shape a
-//    real multi-tenant control plane has, and what bench_fleet measures as
-//    sessions/s and rounds/s);
+//  - pooled session recycling: each shard is a fleet::TickCore
+//    (fleet/tick_core.h) — pooled replay sessions and batch slabs — plus a
+//    pool of pipeline sessions; a tenant acquires a warm session,
+//    Reset-binds it, and returns it — after warmup the fleet allocates
+//    nothing per tenant at a fixed shape (core/session.h);
+//  - batched round-stepping: live replay tenants advance in round buckets
+//    of `rounds_per_tick`, interleaving thousands of concurrent tenants per
+//    shard at bounded per-tenant latency (the shape a real multi-tenant
+//    control plane has, and what bench_fleet measures as sessions/s and
+//    rounds/s);
 //  - per-shard stats, merged after the sweep and absorbed into the obs
 //    Scope as fleet.* counters.
 //
@@ -173,15 +174,10 @@ class FleetRunner {
   size_t num_shards() const { return shards_.size(); }
 
  private:
-  // A pooled replay session: one engine arena plus one policy, rebound per
-  // tenant.
-  struct ReplaySession {
-    Engine engine;
-    std::unique_ptr<SchedulerPolicy> policy;
-  };
-  struct BatchSlab;
   struct Shard;
 
+  // Drives one shard's TickCore over jobs shard_index, shard_index + stride,
+  // ... to completion.
   void RunShard(Shard& shard, std::span<const FleetJob> jobs,
                 std::span<RunResult> results, size_t shard_index,
                 size_t stride);

@@ -1,273 +1,17 @@
-// Unit and randomized-property tests for src/container: IndexedHeap,
-// PairingHeap, IntrusiveIndexList, LruTracker.
-#include <algorithm>
+// Unit and randomized-property tests for src/container: FlatMap,
+// LruTracker.
 #include <map>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "container/flat_map.h"
-#include "container/indexed_heap.h"
-#include "container/intrusive_list.h"
 #include "container/lru_tracker.h"
-#include "container/pairing_heap.h"
 #include "util/rng.h"
 
 namespace rrs {
 namespace {
-
-// --------------------------------------------------------- IndexedHeap ----
-
-TEST(IndexedHeap, PushPopSorted) {
-  IndexedHeap<int> heap(10);
-  heap.Push(3, 30);
-  heap.Push(1, 10);
-  heap.Push(2, 20);
-  EXPECT_EQ(heap.size(), 3u);
-  EXPECT_EQ(heap.Pop(), 1u);
-  EXPECT_EQ(heap.Pop(), 2u);
-  EXPECT_EQ(heap.Pop(), 3u);
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(IndexedHeap, DecreaseKeyMovesToTop) {
-  IndexedHeap<int> heap(4);
-  heap.Push(0, 10);
-  heap.Push(1, 20);
-  heap.Push(2, 30);
-  heap.Update(2, 5);
-  EXPECT_EQ(heap.Top(), 2u);
-  EXPECT_EQ(heap.PriorityOf(2), 5);
-}
-
-TEST(IndexedHeap, IncreaseKeySinks) {
-  IndexedHeap<int> heap(4);
-  heap.Push(0, 10);
-  heap.Push(1, 20);
-  heap.Update(0, 100);
-  EXPECT_EQ(heap.Top(), 1u);
-}
-
-TEST(IndexedHeap, RemoveArbitrary) {
-  IndexedHeap<int> heap(5);
-  for (uint32_t k = 0; k < 5; ++k) heap.Push(k, static_cast<int>(k));
-  heap.Remove(2);
-  EXPECT_FALSE(heap.Contains(2));
-  EXPECT_TRUE(heap.CheckInvariants());
-  std::vector<uint32_t> popped;
-  while (!heap.empty()) popped.push_back(heap.Pop());
-  EXPECT_EQ(popped, (std::vector<uint32_t>{0, 1, 3, 4}));
-}
-
-TEST(IndexedHeap, PushOrUpdate) {
-  IndexedHeap<int> heap(3);
-  heap.PushOrUpdate(0, 5);
-  heap.PushOrUpdate(0, 1);
-  EXPECT_EQ(heap.PriorityOf(0), 1);
-  EXPECT_EQ(heap.size(), 1u);
-}
-
-TEST(IndexedHeap, ClearEmpties) {
-  IndexedHeap<int> heap(3);
-  heap.Push(0, 1);
-  heap.Push(1, 2);
-  heap.Clear();
-  EXPECT_TRUE(heap.empty());
-  EXPECT_FALSE(heap.Contains(0));
-  heap.Push(0, 9);  // reusable after clear
-  EXPECT_EQ(heap.Top(), 0u);
-}
-
-TEST(IndexedHeap, RandomizedAgainstStdPriorityQueue) {
-  Rng rng(101);
-  const size_t capacity = 64;
-  IndexedHeap<uint64_t> heap(capacity);
-  std::vector<bool> present(capacity, false);
-  std::vector<uint64_t> priority(capacity, 0);
-
-  for (int step = 0; step < 20000; ++step) {
-    uint32_t key = static_cast<uint32_t>(rng.NextBounded(capacity));
-    double action = rng.UniformDouble();
-    if (action < 0.4) {
-      uint64_t p = rng.NextBounded(1000) * capacity + key;  // unique priority
-      if (present[key]) {
-        heap.Update(key, p);
-      } else {
-        heap.Push(key, p);
-        present[key] = true;
-      }
-      priority[key] = p;
-    } else if (action < 0.6) {
-      if (present[key]) {
-        heap.Remove(key);
-        present[key] = false;
-      }
-    } else if (!heap.empty()) {
-      uint32_t top = heap.Pop();
-      // Verify against a brute-force minimum.
-      uint64_t best = UINT64_MAX;
-      for (size_t i = 0; i < capacity; ++i) {
-        if (present[i]) best = std::min(best, priority[i]);
-      }
-      EXPECT_EQ(priority[top], best);
-      present[top] = false;
-    }
-    if (step % 500 == 0) {
-      ASSERT_TRUE(heap.CheckInvariants()) << "step " << step;
-    }
-  }
-}
-
-// --------------------------------------------------------- PairingHeap ----
-
-TEST(PairingHeap, PushPopSorted) {
-  PairingHeap<int, int> heap;
-  heap.Push(100, 3);
-  heap.Push(200, 1);
-  heap.Push(300, 2);
-  EXPECT_EQ(heap.Pop().first, 200);
-  EXPECT_EQ(heap.Pop().first, 300);
-  EXPECT_EQ(heap.Pop().first, 100);
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(PairingHeap, DecreaseKey) {
-  PairingHeap<int, int> heap;
-  heap.Push(1, 10);
-  auto h2 = heap.Push(2, 20);
-  heap.Push(3, 30);
-  heap.DecreaseKey(h2, 5);
-  EXPECT_EQ(heap.TopValue(), 2);
-  EXPECT_EQ(heap.TopPriority(), 5);
-  EXPECT_TRUE(heap.CheckInvariants());
-}
-
-TEST(PairingHeap, DecreaseKeyOnRootIsNoopStructurally) {
-  PairingHeap<int, int> heap;
-  auto h = heap.Push(1, 10);
-  heap.Push(2, 20);
-  heap.DecreaseKey(h, 1);
-  EXPECT_EQ(heap.TopValue(), 1);
-  EXPECT_TRUE(heap.CheckInvariants());
-}
-
-TEST(PairingHeap, RandomizedAgainstStdPriorityQueue) {
-  Rng rng(103);
-  PairingHeap<uint64_t, uint64_t> heap;
-  using Entry = std::pair<uint64_t, uint64_t>;  // (priority, value)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> ref;
-  uint64_t next_value = 0;
-
-  for (int step = 0; step < 20000; ++step) {
-    if (rng.UniformDouble() < 0.6 || heap.empty()) {
-      uint64_t p = rng.NextBounded(1'000'000'000);
-      heap.Push(next_value, p);
-      ref.emplace(p, next_value);
-      ++next_value;
-    } else {
-      auto [value, priority] = heap.Pop();
-      EXPECT_EQ(priority, ref.top().first);
-      ref.pop();
-    }
-  }
-  while (!heap.empty()) {
-    auto [value, priority] = heap.Pop();
-    EXPECT_EQ(priority, ref.top().first);
-    ref.pop();
-  }
-}
-
-TEST(PairingHeap, RandomizedDecreaseKey) {
-  Rng rng(107);
-  PairingHeap<uint32_t, uint64_t> heap;
-  std::vector<PairingHeap<uint32_t, uint64_t>::Handle> handles;
-  std::vector<uint64_t> priorities;
-  std::vector<bool> live;
-
-  for (int step = 0; step < 5000; ++step) {
-    double action = rng.UniformDouble();
-    if (action < 0.5 || heap.empty()) {
-      uint64_t p = (rng.NextBounded(1000000) << 16) | handles.size();
-      handles.push_back(heap.Push(static_cast<uint32_t>(handles.size()), p));
-      priorities.push_back(p);
-      live.push_back(true);
-    } else if (action < 0.8) {
-      // Decrease a random live handle.
-      size_t tries = 0;
-      size_t i = rng.NextBounded(handles.size());
-      while (!live[i] && tries++ < handles.size()) {
-        i = rng.NextBounded(handles.size());
-      }
-      if (live[i] && priorities[i] > 0) {
-        uint64_t p = rng.NextBounded(priorities[i]);
-        heap.DecreaseKey(handles[i], p);
-        priorities[i] = p;
-      }
-    } else {
-      auto [value, priority] = heap.Pop();
-      uint64_t best = UINT64_MAX;
-      for (size_t i = 0; i < priorities.size(); ++i) {
-        if (live[i]) best = std::min(best, priorities[i]);
-      }
-      EXPECT_EQ(priority, best);
-      live[value] = false;
-    }
-  }
-  EXPECT_TRUE(heap.CheckInvariants());
-}
-
-// -------------------------------------------------- IntrusiveIndexList ----
-
-TEST(IntrusiveIndexList, PushFrontBackOrder) {
-  IntrusiveIndexList list(8);
-  list.PushBack(1);
-  list.PushFront(0);
-  list.PushBack(2);
-  EXPECT_EQ(list.front(), 0u);
-  EXPECT_EQ(list.back(), 2u);
-  EXPECT_EQ(list.next(0), 1u);
-  EXPECT_EQ(list.next(1), 2u);
-  EXPECT_EQ(list.size(), 3u);
-  EXPECT_TRUE(list.CheckInvariants());
-}
-
-TEST(IntrusiveIndexList, RemoveMiddleAndEnds) {
-  IntrusiveIndexList list(8);
-  for (uint32_t k = 0; k < 5; ++k) list.PushBack(k);
-  list.Remove(2);
-  EXPECT_EQ(list.next(1), 3u);
-  list.Remove(0);
-  EXPECT_EQ(list.front(), 1u);
-  list.Remove(4);
-  EXPECT_EQ(list.back(), 3u);
-  EXPECT_EQ(list.size(), 2u);
-  EXPECT_TRUE(list.CheckInvariants());
-}
-
-TEST(IntrusiveIndexList, MoveToFront) {
-  IntrusiveIndexList list(4);
-  for (uint32_t k = 0; k < 4; ++k) list.PushBack(k);
-  list.MoveToFront(3);
-  EXPECT_EQ(list.front(), 3u);
-  EXPECT_EQ(list.back(), 2u);
-  list.MoveToFront(3);  // already front: no-op
-  EXPECT_EQ(list.front(), 3u);
-  EXPECT_TRUE(list.CheckInvariants());
-}
-
-TEST(IntrusiveIndexList, ClearAndReuse) {
-  IntrusiveIndexList list(4);
-  list.PushBack(0);
-  list.PushBack(1);
-  list.Clear();
-  EXPECT_TRUE(list.empty());
-  EXPECT_FALSE(list.Contains(0));
-  list.PushBack(1);
-  EXPECT_EQ(list.front(), 1u);
-  EXPECT_TRUE(list.CheckInvariants());
-}
 
 // ------------------------------------------------------------- FlatMap ----
 

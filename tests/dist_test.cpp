@@ -107,14 +107,13 @@ struct DistRun {
 
 DistRun RunDistFleet(
     const std::vector<Instance>& tenants, const std::string& policy,
-    size_t workers, uint32_t threads = 0,
+    size_t workers,
     const std::function<void(DistController&)>& plan = nullptr,
     uint32_t checkpoint_interval = 0) {
   DistOptions options;
   options.num_workers = workers;
   options.worker.policy = policy;
   options.worker.rounds_per_tick = 1;
-  options.worker.threads = threads;
   options.worker.report_slo = true;
   options.worker.report_trace = true;
   options.worker.checkpoint_interval_ticks = checkpoint_interval;
@@ -172,14 +171,13 @@ workload::GeneratorSpec DistTenantSpec(uint64_t seed, Round rounds = 96) {
 // and mixed fleets).
 DistRun RunDistFleetJobs(
     const std::vector<FleetJob>& jobs, const std::string& policy,
-    size_t workers, uint32_t threads = 0,
+    size_t workers,
     const std::function<void(DistController&)>& plan = nullptr,
     uint32_t checkpoint_interval = 0) {
   DistOptions options;
   options.num_workers = workers;
   options.worker.policy = policy;
   options.worker.rounds_per_tick = 1;
-  options.worker.threads = threads;
   options.worker.report_slo = true;
   options.worker.report_trace = true;
   options.worker.checkpoint_interval_ticks = checkpoint_interval;
@@ -261,7 +259,6 @@ TEST(DistProtocol, ConfigRoundTrips) {
   WireConfig config;
   config.rounds_per_tick = 17;
   config.max_live_sessions = 5;
-  config.threads = 3;
   config.collect_results = false;
   config.report_slo = true;
   config.report_trace = true;
@@ -275,7 +272,6 @@ TEST(DistProtocol, ConfigRoundTrips) {
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(got.rounds_per_tick, 17);
   EXPECT_EQ(got.max_live_sessions, 5u);
-  EXPECT_EQ(got.threads, 3u);
   EXPECT_FALSE(got.collect_results);
   EXPECT_TRUE(got.report_trace);
   EXPECT_EQ(got.checkpoint_interval_ticks, 9u);
@@ -437,8 +433,7 @@ TEST(DistFleet, MatchesSingleEngineOracleAcrossWorkerCounts) {
       oracle_digests.push_back(OracleDigest(tenant, policy));
     }
     for (const size_t workers : {1u, 2u, 4u}) {
-      const uint32_t threads = workers == 2 ? 2 : 0;  // one cell with a pool
-      const DistRun run = RunDistFleet(tenants, policy, workers, threads);
+      const DistRun run = RunDistFleet(tenants, policy, workers);
       const std::string label =
           policy + " @" + std::to_string(workers) + "w";
       ASSERT_EQ(run.results.size(), tenants.size());
@@ -481,7 +476,7 @@ TEST(DistMigration, EveryPolicyEveryCutMatchesNeverMigratedOracle) {
     for (const size_t workers : {1u, 2u, 4u}) {
       for (const uint64_t cut : cuts) {
         const DistRun run = RunDistFleet(
-            tenants, policy, workers, /*threads=*/0,
+            tenants, policy, workers,
             [&](DistController& controller) {
               for (uint64_t t = 0; t < tenants.size(); ++t) {
                 controller.ScheduleMigration(
@@ -519,7 +514,7 @@ TEST(DistFailover, KilledWorkerRecoversFromCheckpointsBitIdentically) {
   }
   const DistRun undisturbed = RunDistFleet(tenants, policy, 1);
   const DistRun run = RunDistFleet(
-      tenants, policy, /*workers=*/3, /*threads=*/0,
+      tenants, policy, /*workers=*/3,
       [](DistController& controller) {
         controller.ScheduleKill(10, 1);
         controller.ScheduleKill(30, 2);
@@ -549,7 +544,7 @@ TEST(DistFailover, UncheckpointedTenantsRestartFromScratch) {
   const DistRun undisturbed = RunDistFleet(tenants, policy, 1);
   // No checkpoint stream at all: the kill forces the from-scratch path.
   const DistRun run = RunDistFleet(
-      tenants, policy, /*workers=*/2, /*threads=*/0,
+      tenants, policy, /*workers=*/2,
       [](DistController& controller) { controller.ScheduleKill(5, 0); },
       /*checkpoint_interval=*/0);
   EXPECT_EQ(run.stats.kills, 1u);
@@ -574,7 +569,7 @@ TEST(DistShed, ScriptedShedDropsOneTenantAndLeavesTheRestExact) {
     oracle.push_back(RunPolicy(tenant, *p, TestOptions()));
   }
   const DistRun run = RunDistFleet(
-      tenants, policy, /*workers=*/2, /*threads=*/0,
+      tenants, policy, /*workers=*/2,
       [](DistController& controller) { controller.ScheduleShed(3, 2); });
   EXPECT_EQ(run.stats.shed, 1u);
   EXPECT_EQ(run.stats.completed, tenants.size() - 1);
@@ -773,7 +768,7 @@ TEST(DistStreaming, MigrationShipsSourceStateBitIdentically) {
   for (const size_t workers : {1u, 2u, 4u}) {
     for (const uint64_t cut : {1u, 17u, 64u}) {
       const DistRun run = RunDistFleetJobs(
-          jobs, policy, workers, /*threads=*/0,
+          jobs, policy, workers,
           [&](DistController& controller) {
             for (uint64_t t = 0; t < jobs.size(); ++t) {
               controller.ScheduleMigration(
@@ -814,7 +809,7 @@ TEST(DistStreaming, FailoverRestoresStreamingTenantsFromCheckpoints) {
   }
   const DistRun undisturbed = RunDistFleetJobs(jobs, policy, 1);
   const DistRun run = RunDistFleetJobs(
-      jobs, policy, /*workers=*/3, /*threads=*/0,
+      jobs, policy, /*workers=*/3,
       [](DistController& controller) {
         controller.ScheduleKill(10, 1);
         controller.ScheduleKill(30, 0);

@@ -2,7 +2,8 @@
 // through a reused (Reset) session or a pooled fleet session is
 // bit-identical to a run through a freshly constructed engine. This file
 // pins that, for every registry policy, for the FleetRunner at 0/1/2/8
-// threads, for the pipeline session, and for the OnlineSolver.
+// threads, for the pipeline session, and for the OnlineSolver — plus the
+// TickCore checkpoint path every fleet runner shares.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +12,9 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "fleet/chaos_fleet.h"
 #include "fleet/fleet_runner.h"
+#include "fleet/tick_core.h"
 #include "parallel/thread_pool.h"
 #include "reduce/distribute.h"
 #include "reduce/online.h"
@@ -19,6 +22,8 @@
 #include "reduce/varbatch.h"
 #include "sched/dlru_edf.h"
 #include "sched/registry.h"
+#include "snapshot/codec.h"
+#include "workload/generator_spec.h"
 #include "workload/synthetic.h"
 
 namespace rrs {
@@ -236,6 +241,122 @@ TEST(FleetRunner, LiveSessionCapBoundsConcurrency) {
   EXPECT_EQ(stats.sessions_completed, kTenants);
   // The pool never needs more sessions than the live cap.
   EXPECT_LE(stats.sessions_created, 3u);
+}
+
+// Slab lanes and scalar fallback sessions share one live count: six tenants
+// admitted in the same tick, three on lanes and three on scalar sessions,
+// are six live tenants.
+TEST(FleetRunner, PeakLiveCountsLanesAndScalarSessionsTogether) {
+  const Instance tenant = FleetTenant(310, 48);
+  std::vector<fleet::FleetJob> jobs(6);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].instance = &tenant;
+    jobs[i].options.num_resources = 4;
+    // Recording runs are batch-ineligible: they fall back to scalar.
+    jobs[i].options.record_schedule = i % 2 == 1;
+  }
+
+  fleet::FleetOptions options;
+  options.num_shards = 1;
+  options.batch_width = 8;
+  fleet::FleetRunner runner(std::move(options));
+  runner.RunAll(jobs);
+  const fleet::FleetStats stats = runner.stats();
+  EXPECT_EQ(stats.batched_sessions, 3u);
+  EXPECT_EQ(stats.fallback_sessions, 3u);
+  EXPECT_EQ(stats.peak_live_sessions, 6u);
+}
+
+// ---- TickCore checkpoint layout -------------------------------------------
+
+// A tenant evicted mid-run from one core and restored on another finishes
+// bit-identical to an uninterrupted run — instance-fed, and streaming, where
+// the source's state rides in the checkpoint after the engine's.
+TEST(TickCore, EvictRestoreAcrossCoresIsBitIdentical) {
+  const std::vector<workload::ColorSpec> specs = {
+      {1, 0.4}, {2, 0.5}, {4, 0.5}, {8, 0.4}, {16, 0.3}};
+  workload::PoissonOptions gen;
+  gen.rounds = 96;
+  gen.seed = 77;
+  const Instance instance = MakePoisson(specs, gen);
+  const workload::GeneratorSpec spec = workload::PoissonSpec(specs, gen);
+
+  std::vector<fleet::FleetJob> jobs(2);
+  jobs[0].instance = &instance;
+  jobs[1].source_spec = &spec;
+  for (fleet::FleetJob& job : jobs) {
+    job.options.num_resources = 4;
+    job.options.cost_model.delta = 2;
+  }
+  DlruEdfPolicy oracle_policy;
+  const RunResult oracle = RunPolicy(instance, oracle_policy, jobs[0].options);
+
+  fleet::TickCoreOptions core_options;
+  core_options.policy_factory = [] {
+    return std::make_unique<DlruEdfPolicy>();
+  };
+  core_options.rounds_per_tick = 8;
+  fleet::TickCore from(core_options);
+  fleet::TickCore to(core_options);
+  std::vector<RunResult> results(jobs.size());
+  fleet::ResultSink sink(results);
+
+  from.Admit(0, jobs[0]);
+  from.Admit(1, jobs[1]);
+  for (int tick = 0; tick < 3; ++tick) from.Step(sink);
+  ASSERT_EQ(from.sessions(), 2u);
+  snapshot::Writer words;
+  while (from.sessions() > 0) {
+    const uint64_t tenant = from.tenant(0);
+    from.Evict(0, &words);
+    to.Restore(tenant, jobs[tenant], words.words());
+  }
+  EXPECT_EQ(from.live(), 0u);
+  EXPECT_EQ(to.live(), 2u);
+  while (to.live() > 0) to.Step(sink);
+
+  ExpectSameRunResult(results[0], oracle, "instance-fed");
+  ExpectSameRunResult(results[1], oracle, "streaming");
+  EXPECT_EQ(to.stats().sessions_completed, 2u);
+}
+
+// The chaos runner checkpoints streaming tenants through the same core:
+// results match fresh engines on the materialized workloads.
+TEST(TickCore, ChaosRunnerCheckpointsStreamingTenants) {
+  const std::vector<workload::ColorSpec> specs = {
+      {1, 0.4}, {2, 0.5}, {4, 0.5}, {8, 0.4}, {16, 0.3}};
+  constexpr size_t kTenants = 12;
+  std::vector<workload::GeneratorSpec> sources;
+  std::vector<Instance> instances;
+  for (size_t i = 0; i < kTenants; ++i) {
+    workload::PoissonOptions gen;
+    gen.rounds = 96;
+    gen.seed = 500 + i;
+    sources.push_back(workload::PoissonSpec(specs, gen));
+    instances.push_back(MakePoisson(specs, gen));
+  }
+  std::vector<fleet::FleetJob> jobs(kTenants);
+  for (size_t i = 0; i < kTenants; ++i) {
+    jobs[i].source_spec = &sources[i];
+    jobs[i].options.num_resources = 4;
+    jobs[i].options.cost_model.delta = 2;
+  }
+
+  fleet::ChaosOptions options;
+  options.num_workers = 3;
+  options.rounds_per_tick = 8;
+  options.kill_worker_prob = 0.3;
+  options.evict_prob = 0.8;
+  fleet::ChaosFleetRunner runner(options);
+  const std::vector<RunResult> got = runner.RunAll(jobs);
+  ASSERT_EQ(got.size(), kTenants);
+  for (size_t i = 0; i < kTenants; ++i) {
+    DlruEdfPolicy policy;
+    ExpectSameRunResult(got[i], RunPolicy(instances[i], policy,
+                                          jobs[i].options),
+                        "streaming chaos tenant " + std::to_string(i));
+  }
+  EXPECT_GT(runner.stats().restores, 0u);
 }
 
 // ---- Pipeline session reuse ----------------------------------------------
