@@ -1,16 +1,13 @@
 // E12 — streaming-mode performance (google-benchmark): per-round latency and
-// throughput of StreamEngine and the incremental OnlineSolver vs the offline
-// replay pipeline on the same workload. The streaming path is what a
+// throughput of the incremental OnlineSolver vs the offline replay pipeline
+// on the same workload. The streaming path is what a
 // deployment would run; its per-round cost must be flat (no hidden
 // whole-trace work).
 #include <benchmark/benchmark.h>
 
 #include "core/engine.h"
-#include "core/stream_engine.h"
 #include "reduce/online.h"
 #include "reduce/pipeline.h"
-#include "sched/dlru_edf.h"
-#include "sched/registry.h"
 #include "workload/synthetic.h"
 
 namespace {
@@ -43,30 +40,6 @@ std::vector<std::vector<std::pair<rrs::ColorId, uint64_t>>> ExtractRounds(
     }
   }
   return rounds;
-}
-
-void BM_StreamEngineDlruEdf(benchmark::State& state) {
-  const rrs::Round rounds = state.range(0);
-  rrs::Instance instance = StreamWorkload(rounds, 3);
-  auto per_round = ExtractRounds(instance);
-  std::vector<rrs::Round> delays;
-  for (rrs::ColorId c = 0; c < instance.num_colors(); ++c) {
-    delays.push_back(instance.delay_bound(c));
-  }
-  rrs::EngineOptions options;
-  options.num_resources = 8;
-  options.cost_model.delta = 4;
-
-  for (auto _ : state) {
-    rrs::DlruEdfPolicy policy;
-    rrs::StreamEngine engine(delays, policy, options);
-    for (const auto& arrivals : per_round) engine.Step(arrivals);
-    engine.Finish();
-    benchmark::DoNotOptimize(engine.cost().drops);
-  }
-  state.counters["rounds/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(rounds),
-      benchmark::Counter::kIsRate);
 }
 
 void BM_OnlineSolver(benchmark::State& state) {
@@ -109,7 +82,6 @@ void BM_OfflinePipeline(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_StreamEngineDlruEdf)->Arg(1024)->Arg(8192);
 BENCHMARK(BM_OnlineSolver)->Arg(1024)->Arg(8192);
 BENCHMARK(BM_OfflinePipeline)->Arg(1024)->Arg(8192);
 

@@ -1,8 +1,8 @@
 // FlatMap: a sorted-vector map with binary-search lookup.
 //
 // For the small, short-lived key sets in the scheduling hot paths (e.g. the
-// OnlineSolver's buffered VarBatch batches, keyed by upcoming boundary
-// rounds), a contiguous sorted vector beats a node-based std::map on both
+// OnlineSolver's buffered VarBatch batches, keyed by upcoming boundary round
+// and color), a contiguous sorted vector beats a node-based std::map on both
 // locality and allocation churn. Insertion is O(n) by shifting — fine for
 // the dozens-of-entries regime this is built for; the E11 bench quantifies
 // the crossover against std::map.

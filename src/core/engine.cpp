@@ -497,6 +497,12 @@ uint64_t Engine::state_executed() const {
   return state_->executed;
 }
 
+uint64_t Engine::run_pending(ColorId c) const {
+  RRS_CHECK(running_) << "run_pending outside an open run";
+  RRS_DCHECK(c < instance_->num_colors());
+  return state_->pending_n[c];
+}
+
 void Engine::SnapshotRun(snapshot::Writer& w) const {
   RRS_CHECK(running_) << "SnapshotRun without an open run";
   const SimState& state = *state_;
@@ -545,15 +551,23 @@ void Engine::RestoreRun(SchedulerPolicy& policy, snapshot::Reader& r,
   SimState& state = *state_;
 
   r.BeginSection(snapshot::kTagEngine);
-  RRS_CHECK_EQ(r.GetU64(), instance_->num_colors())
+  const size_t num_colors = instance_->num_colors();
+  RRS_CHECK_EQ(r.GetU64(), num_colors)
       << "snapshot restored against a different color universe";
   RRS_CHECK_EQ(r.GetU32(), options_.num_resources)
       << "snapshot restored with a different resource count";
   next_round_ = r.GetI64();
   RRS_CHECK_LE(next_round_, horizon_ + 1);
+  // Checkpoints can arrive from another process, so every value that later
+  // indexes a per-color array is range-checked here, before the round loop
+  // trusts it.
   r.GetVec(state.resource_color);
   RRS_CHECK_EQ(state.resource_color.size(), options_.num_resources);
-  for (size_t c = 0; c < instance_->num_colors(); ++c) {
+  for (const ColorId c : state.resource_color) {
+    RRS_CHECK(c == kNoColor || c < num_colors)
+        << "snapshot resource color " << c << " out of range";
+  }
+  for (size_t c = 0; c < num_colors; ++c) {
     state.rings[c].LoadState(r);
     state.pending_n[c] = state.rings[c].size();
   }
@@ -564,22 +578,42 @@ void Engine::RestoreRun(SchedulerPolicy& policy, snapshot::Reader& r,
         << c;
   }
   r.GetVec(state.nonidle_list);
+  for (const ColorId c : state.nonidle_list) {
+    RRS_CHECK_LT(c, num_colors) << "snapshot nonidle color out of range";
+  }
   r.GetVec(state.in_nonidle_list);
-  const size_t wheel_size = r.GetU64();
-  RRS_CHECK_GE(wheel_size, 1u);
+  RRS_CHECK_EQ(state.in_nonidle_list.size(), num_colors);
+  // A deadline lies at most max D rounds ahead, so the wheel needs more than
+  // max D slots; each slot takes at least its count word.
+  Round max_delay = 1;
+  for (ColorId c = 0; c < num_colors; ++c) {
+    max_delay = std::max(max_delay, instance_->delay_bound(c));
+  }
+  const uint64_t wheel_size = r.GetU64();
+  RRS_CHECK_GT(wheel_size, static_cast<uint64_t>(max_delay))
+      << "snapshot wheel smaller than max delay bound + 1";
+  RRS_CHECK_LE(wheel_size, r.remaining()) << "snapshot wheel overruns section";
   state.wheel.resize(wheel_size);
-  for (auto& slot : state.wheel) r.GetVec(slot);
+  for (auto& slot : state.wheel) {
+    r.GetVec(slot);
+    for (const ColorId c : slot) {
+      RRS_CHECK_LT(c, num_colors) << "snapshot wheel color out of range";
+    }
+  }
   r.GetVec(state.last_wheel_push);
+  RRS_CHECK_EQ(state.last_wheel_push.size(), num_colors);
   state.cost.reconfigurations = r.GetU64();
   state.cost.drops = r.GetU64();
   state.cost.weighted_drops = r.GetU64();
   state.executed = r.GetU64();
   r.GetVec(state.drops_per_color);
+  RRS_CHECK_EQ(state.drops_per_color.size(), num_colors);
   const bool obs_fields = r.GetBool();
 #if RRS_OBS_LEVEL >= 1
   RRS_CHECK(obs_fields)
       << "snapshot from an RRS_OBS_LEVEL=0 build lacks telemetry state";
   r.GetVec(state.reconfigs_per_color);
+  RRS_CHECK_EQ(state.reconfigs_per_color.size(), num_colors);
 #else
   RRS_CHECK(!obs_fields)
       << "snapshot carries telemetry state this RRS_OBS_LEVEL=0 build drops";

@@ -123,10 +123,13 @@ class Engine {
   Round next_round() const { return next_round_; }
 
   // Mid-run accumulators (valid while a run is open): the cost and execution
-  // count over the rounds simulated so far. Golden-trace tests hash these
-  // per round; ChaosFleetRunner reads them for its progress counters.
+  // count over the rounds simulated so far, and color c's pending jobs.
+  // Golden-trace tests hash these per round; ChaosFleetRunner reads them for
+  // its progress counters; reduce::OnlineSolver derives a round's executions
+  // from the pending counts.
   const CostBreakdown& run_cost() const { return state_cost(); }
   uint64_t run_executed() const { return state_executed(); }
+  uint64_t run_pending(ColorId c) const;
 
   // ---- Checkpoint/restore (snapshot/codec.h) ---------------------------
   //

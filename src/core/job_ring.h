@@ -95,6 +95,9 @@ class JobRing {
   void LoadState(snapshot::Reader& r) {
     clear();
     const uint32_t n = r.GetU32();
+    // Two words per entry: check the count before growing to it.
+    RRS_CHECK_LE(uint64_t{2} * n, r.remaining())
+        << "snapshot ring overruns section";
     while (n > capacity()) Grow();
     for (uint32_t i = 0; i < n; ++i) job_[i] = r.GetU32();
     for (uint32_t i = 0; i < n; ++i) deadline_[i] = r.GetI64();

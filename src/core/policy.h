@@ -114,10 +114,8 @@ class SchedulerPolicy {
   // Called once before each run. The instance and options outlive the run.
   virtual void Reset(const Instance& instance, const EngineOptions& options) = 0;
 
-  // Drop phase of round k dropped `count` color-c jobs. `jobs` carries their
-  // ids when the driver knows them (Engine replaying an Instance) and is
-  // empty in streaming mode (StreamEngine); ids are valid for the duration
-  // of the call only.
+  // Drop phase of round k dropped `count` color-c jobs, whose ids `jobs`
+  // carries (valid for the duration of the call only).
   virtual void OnJobsDropped(Round k, ColorId c, uint64_t count,
                              std::span<const JobId> jobs) {
     (void)k;

@@ -1,9 +1,9 @@
 // The Session contract: how one long-lived object serves an unbounded
 // series of tenants/instances, and the pool that recycles such objects.
 //
-// Every session core in the library (core/Engine, core/StreamEngine,
-// reduce/OnlineSolver, reduce/PipelineSession, and through them every
-// sched/ policy) obeys three rules:
+// Every session core in the library (core/Engine, reduce/OnlineSolver on
+// top of it, reduce/PipelineSession, and through them every sched/ policy)
+// obeys three rules:
 //
 //   1. *Rebind in place.* `Reset(next tenant)` reinitializes the object for
 //      a new instance/color table without reconstructing it. All buffers —

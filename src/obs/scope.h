@@ -109,9 +109,9 @@ inline Scope* EffectiveScope(Scope* explicit_scope) {
 #if RRS_OBS_LEVEL >= 1
 
 // Run-local instruments: constructed at the top of Engine::Run /
-// StreamEngine / RunPolicyReference, updated inline during the round loop,
-// summarized into RunResult::telemetry and absorbed into the scope at the
-// end. All state is owned by the running thread.
+// RunPolicyReference, updated inline during the round loop, summarized into
+// RunResult::telemetry and absorbed into the scope at the end. All state is
+// owned by the running thread.
 class RunInstruments {
  public:
   // `scope` may be null (falls back to the global scope, which may also be

@@ -1,11 +1,11 @@
 // Versioned binary snapshot codec for session cores.
 //
-// Every Session type (Engine, StreamEngine, the registry policies,
-// reduce::OnlineSolver, reduce::PipelineSession) can serialize its mutable
-// run state into a flat word stream and restore it into a freshly Reset
-// session, producing runs bit-identical to the uninterrupted original. The
-// codec is the one wire format behind checkpoint/restore, tenant migration
-// in fleet::ChaosFleetRunner, and the checkpoint-differential fuzz tests.
+// Every Session type (Engine, the registry policies, reduce::OnlineSolver,
+// reduce::PipelineSession) can serialize its mutable run state into a flat
+// word stream and restore it into a freshly Reset session, producing runs
+// bit-identical to the uninterrupted original. The codec is the one wire
+// format behind checkpoint/restore, tenant migration in
+// fleet::ChaosFleetRunner, and the checkpoint-differential fuzz tests.
 //
 // Format (all little-endian uint64 words, arena-friendly: one contiguous
 // vector, no per-field framing):
@@ -46,10 +46,10 @@ inline constexpr uint64_t kMagic = 0x72727353'6e617031ULL;  // "rrsSnap1"
 inline constexpr uint64_t kVersion = 1;
 
 // Section tags, one per component that owns serialized state. Tag mismatch
-// on read aborts with both tags in the message.
+// on read aborts with both tags in the message. Tag 2 is retired: never
+// reuse it, so no stale checkpoint section reads as another component's.
 enum Tag : uint64_t {
   kTagEngine = 1,
-  kTagStreamEngine = 2,
   kTagLruTracker = 3,
   kTagCacheSlots = 4,
   kTagColorState = 5,
@@ -235,6 +235,13 @@ class Reader {
         out.push_back(narrowed);
       }
     }
+  }
+
+  // Words left in the open section: a bound for counts read before the
+  // elements they announce.
+  size_t remaining() const {
+    RRS_CHECK(section_end_ != kNone) << "remaining() outside a section";
+    return section_end_ - pos_;
   }
 
   bool AtEnd() const {

@@ -65,6 +65,8 @@ class ArrivalSource {
     kThin = 8,
     kConcat = 9,
     kMerge = 10,
+    // reduce::OnlineSolver's push adapter (never shipped as a GeneratorSpec).
+    kPush = 11,
   };
 
   virtual ~ArrivalSource() = default;

@@ -1,13 +1,13 @@
 // Differential fuzzing across random instance *shapes*: random color tables
 // (delay bounds including non-powers-of-two and D = 1, drop weights), random
 // arrival patterns — then cross-check independent implementations against
-// each other: DP vs brute force, replay vs streaming (including double
-// speed), pipeline projections vs the validator, and bounds vs exact optima.
+// each other: DP vs brute force, the ring engine vs the reference engine
+// (including double speed), pipeline projections vs the validator, and
+// bounds vs exact optima.
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
 #include "core/reference_engine.h"
-#include "core/stream_engine.h"
 #include "offline/bruteforce.h"
 #include "offline/clairvoyant.h"
 #include "offline/lower_bound.h"
@@ -42,37 +42,13 @@ Instance RandomShape(Rng& rng, bool weighted, Round max_rounds = 10,
   return b.Build();
 }
 
-// Feeds `inst` to a StreamEngine round by round (grouping each round's jobs
-// into (color, count) runs, preserving arrival order) and returns it after
-// Finish(). `policy` must be freshly made.
-void DriveStream(const Instance& inst, StreamEngine& stream) {
-  std::vector<std::pair<ColorId, uint64_t>> arrivals;
-  for (Round k = 0; k < inst.num_request_rounds(); ++k) {
-    arrivals.clear();
-    auto jobs = inst.jobs_in_round(k);
-    size_t i = 0;
-    while (i < jobs.size()) {
-      ColorId c = jobs[i].color;
-      uint64_t count = 0;
-      while (i < jobs.size() && jobs[i].color == c) {
-        ++count;
-        ++i;
-      }
-      arrivals.emplace_back(c, count);
-    }
-    stream.Step(arrivals);
-  }
-  stream.Finish();
-}
-
-// Cross-checks the ring-based Engine, the StreamEngine, and the retained
-// deque-based reference engine on one instance: exact equality of drops,
-// weighted drops, reconfigurations, and executed jobs. The stream leg is
-// skipped for weighted instances (StreamEngine's colors-only instance does
-// not carry drop weights) and when mini_rounds would need job ids.
-void ExpectThreeWayAgreement(const Instance& inst, const std::string& policy,
-                             const EngineOptions& options, bool weighted,
-                             const std::string& label) {
+// Cross-checks the ring-based Engine against the retained deque-based
+// reference engine on one instance: exact equality of drops, weighted drops,
+// reconfigurations, and executed jobs.
+void ExpectEngineMatchesReference(const Instance& inst,
+                                  const std::string& policy,
+                                  const EngineOptions& options,
+                                  const std::string& label) {
   auto engine_policy = MakePolicy(policy);
   RunResult fast = RunPolicy(inst, *engine_policy, options);
 
@@ -84,20 +60,6 @@ void ExpectThreeWayAgreement(const Instance& inst, const std::string& policy,
   ASSERT_EQ(fast.cost.reconfigurations, oracle.cost.reconfigurations) << label;
   ASSERT_EQ(fast.executed, oracle.executed) << label;
   ASSERT_EQ(fast.arrived, oracle.arrived) << label;
-
-  if (weighted) return;
-  std::vector<Round> delays;
-  for (ColorId c = 0; c < inst.num_colors(); ++c) {
-    delays.push_back(inst.delay_bound(c));
-  }
-  auto stream_policy = MakePolicy(policy);
-  StreamEngine stream(delays, *stream_policy, options);
-  DriveStream(inst, stream);
-  ASSERT_EQ(stream.cost().drops, oracle.cost.drops) << label;
-  ASSERT_EQ(stream.cost().weighted_drops, oracle.cost.weighted_drops) << label;
-  ASSERT_EQ(stream.cost().reconfigurations, oracle.cost.reconfigurations)
-      << label;
-  ASSERT_EQ(stream.executed(), oracle.executed) << label;
 }
 
 // ≥600 randomized Poisson instances across policies, resource counts, Δ, and
@@ -127,8 +89,8 @@ TEST(Differential, EnginesAgreeOnRandomizedPoisson) {
     options.cost_model.delta = 1 + trial % 5;
 
     const std::string policy = kPolicies[trial % 6];
-    ExpectThreeWayAgreement(
-        inst, policy, options, /*weighted=*/false,
+    ExpectEngineMatchesReference(
+        inst, policy, options,
         "poisson trial " + std::to_string(trial) + " policy " + policy);
   }
 }
@@ -171,8 +133,8 @@ TEST(Differential, EnginesAgreeOnAdversarialBursts) {
     options.cost_model.delta = 1 + trial % 4;
 
     const std::string policy = kPolicies[trial % 5];
-    ExpectThreeWayAgreement(
-        inst, policy, options, weighted,
+    ExpectEngineMatchesReference(
+        inst, policy, options,
         "adversarial trial " + std::to_string(trial) + " policy " + policy);
   }
 }
@@ -245,50 +207,6 @@ TEST(Differential, ReconstructionMatchesDpAcrossShapes) {
     ASSERT_TRUE(v.ok) << "trial " << trial << ": " << v.error;
     EXPECT_EQ(v.cost.total(CostModel{delta}), result.total_cost)
         << "trial " << trial;
-  }
-}
-
-TEST(Differential, StreamMatchesReplayAtDoubleSpeed) {
-  Rng rng(1021);
-  for (int trial = 0; trial < 20; ++trial) {
-    Instance inst = RandomShape(rng, false, 40, 60);
-    for (const char* name : {"seq-edf", "greedy-edf", "lazy-greedy"}) {
-      EngineOptions options;
-      options.num_resources = 3;
-      options.mini_rounds_per_round = 2;  // double speed
-      options.cost_model.delta = 2;
-
-      auto replay_policy = MakePolicy(name);
-      RunResult replay = RunPolicy(inst, *replay_policy, options);
-
-      std::vector<Round> delays;
-      for (ColorId c = 0; c < inst.num_colors(); ++c) {
-        delays.push_back(inst.delay_bound(c));
-      }
-      auto stream_policy = MakePolicy(name);
-      StreamEngine stream(delays, *stream_policy, options);
-      std::vector<std::pair<ColorId, uint64_t>> arrivals;
-      for (Round k = 0; k < inst.num_request_rounds(); ++k) {
-        arrivals.clear();
-        auto jobs = inst.jobs_in_round(k);
-        size_t i = 0;
-        while (i < jobs.size()) {
-          ColorId c = jobs[i].color;
-          uint64_t count = 0;
-          while (i < jobs.size() && jobs[i].color == c) {
-            ++count;
-            ++i;
-          }
-          arrivals.emplace_back(c, count);
-        }
-        stream.Step(arrivals);
-      }
-      stream.Finish();
-      EXPECT_EQ(stream.cost().reconfigurations, replay.cost.reconfigurations)
-          << name << " trial " << trial;
-      EXPECT_EQ(stream.cost().drops, replay.cost.drops)
-          << name << " trial " << trial;
-    }
   }
 }
 

@@ -10,6 +10,10 @@
 // order, policy decisions, cost accounting, or scenario generation shows up
 // as a digest mismatch naming the exact (scenario, policy) pair.
 //
+// The `<scenario>/online` keys fingerprint reduce::OnlineSolver on the same
+// scenarios: each round's base-color reconfigurations in order and its
+// per-color execution and drop totals, then the final cost and counts.
+//
 // After an *intentional* semantics change, regenerate with:
 //
 //   ./rrs_golden_trace_test --regen-golden
@@ -28,6 +32,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "reduce/distribute.h"
+#include "reduce/online.h"
+#include "reduce/varbatch.h"
 #include "sched/registry.h"
 #include "util/check.h"
 #include "util/sha256.h"
@@ -86,6 +93,70 @@ std::string TraceDigest(const Instance& instance, const std::string& policy) {
   return hash.FinishHex();
 }
 
+// Folds per-color (color, total) pairs in ascending color order; a color
+// may repeat in `entries`.
+void HashColorTotals(Sha256& hash,
+                     const std::vector<std::pair<ColorId, uint64_t>>& entries) {
+  std::map<ColorId, uint64_t> totals;
+  for (const auto& [c, count] : entries) totals[c] += count;
+  for (const auto& [c, total] : totals) {
+    hash.UpdateU64(c);
+    hash.UpdateU64(total);
+  }
+}
+
+// Fingerprints OnlineSolver's per-round outcomes on one instance, with the
+// subcolor budgets the offline pipeline's Distribute step derives.
+std::string OnlineDigest(const Instance& instance) {
+  EngineOptions options;
+  options.num_resources = 8;
+  options.cost_model.delta = 3;
+
+  const std::vector<uint32_t> budgets =
+      reduce::DistributeInstance(reduce::VarBatchInstance(instance).transformed)
+          .subcolors_per_color;
+  std::vector<reduce::OnlineSolver::ColorSpec> colors;
+  for (ColorId c = 0; c < instance.num_colors(); ++c) {
+    colors.push_back({instance.delay_bound(c), budgets[c]});
+  }
+  reduce::OnlineSolver solver(colors, options);
+
+  Sha256 hash;
+  std::vector<std::pair<ColorId, uint64_t>> arrivals;
+  auto step = [&](Round k) {
+    arrivals.clear();
+    if (k < instance.num_request_rounds()) {
+      for (const Job& job : instance.jobs_in_round(k)) {
+        if (arrivals.empty() || arrivals.back().first != job.color) {
+          arrivals.emplace_back(job.color, 0);
+        }
+        ++arrivals.back().second;
+      }
+    }
+    const RoundOutcome& out = solver.Step(arrivals);
+    hash.UpdateU64(static_cast<uint64_t>(out.round));
+    for (const auto& [r, c] : out.reconfigs) {
+      hash.UpdateU64(r);
+      hash.UpdateU64(c);
+    }
+    HashColorTotals(hash, out.executions);
+    HashColorTotals(hash, out.drops);
+  };
+  for (Round k = 0; k < instance.num_request_rounds(); ++k) step(k);
+  // Drain: every arrived job is still buffered, pending, executed or dropped.
+  while (solver.executed() + solver.cost().drops < solver.arrived()) {
+    step(solver.current_round());
+  }
+  solver.Finish();
+  const CostBreakdown cost = solver.cost();
+  hash.UpdateU64(cost.reconfigurations);
+  hash.UpdateU64(cost.drops);
+  hash.UpdateU64(cost.weighted_drops);
+  hash.UpdateU64(solver.executed());
+  hash.UpdateU64(solver.arrived());
+  return hash.FinishHex();
+}
+
 // All (scenario/policy) digests, in deterministic order.
 std::map<std::string, std::string> ComputeAllDigests() {
   std::map<std::string, std::string> digests;
@@ -93,6 +164,7 @@ std::map<std::string, std::string> ComputeAllDigests() {
     for (const std::string& policy : PolicyNames()) {
       digests[scenario + "/" + policy] = TraceDigest(instance, policy);
     }
+    digests[scenario + "/online"] = OnlineDigest(instance);
   }
   return digests;
 }

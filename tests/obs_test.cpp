@@ -24,7 +24,6 @@
 #include "analysis/timeline.h"
 #include "core/engine.h"
 #include "core/reference_engine.h"
-#include "core/stream_engine.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "obs/telemetry.h"
@@ -690,36 +689,6 @@ TEST(EngineTelemetry, GlobalScopeIsUsedWhenNoExplicitScope) {
   // Runs after the global scope is cleared do not touch it.
   RunPolicy(instance, policy, options);
   EXPECT_EQ(scope.runs_absorbed(), 1u);
-}
-
-TEST(StreamTelemetry, SnapshotMatchesTotalsAndAbsorbsOnce) {
-  obs::Scope scope;
-  DlruEdfPolicy policy;
-  EngineOptions options;
-  options.num_resources = 4;
-  options.cost_model.delta = 2;
-  options.obs_scope = &scope;
-  StreamEngine engine({2, 4, 8}, policy, options);
-  const std::vector<std::pair<ColorId, uint64_t>> burst = {
-      {0, 3}, {1, 2}, {2, 1}};
-  for (int i = 0; i < 32; ++i) engine.Step(burst);
-  engine.Finish();
-
-  const obs::Telemetry t = engine.SnapshotTelemetry();
-  EXPECT_EQ(t.arrived, engine.arrived());
-  EXPECT_EQ(t.executed, engine.executed());
-  EXPECT_EQ(t.drops, engine.cost().drops);
-  EXPECT_EQ(t.reconfigs, engine.cost().reconfigurations);
-  EXPECT_EQ(t.rounds, static_cast<uint64_t>(engine.current_round()));
-  uint64_t drops_sum = 0;
-  for (uint64_t d : t.drops_per_color) drops_sum += d;
-  EXPECT_EQ(drops_sum, t.drops);
-
-  EXPECT_EQ(scope.runs_absorbed(), 1u);
-  engine.AbsorbIntoScope();  // idempotent
-  EXPECT_EQ(scope.runs_absorbed(), 1u);
-  EXPECT_EQ(scope.registry().FindCounter("engine.arrived")->value,
-            engine.arrived());
 }
 
 TEST(RunnerTelemetry, PolicyReportCarriesSnapshot) {

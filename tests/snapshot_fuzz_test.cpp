@@ -4,8 +4,8 @@
 // random checkpoint rounds, snapshots the run at each cut, migrates it to a
 // different engine + fresh policy object, and finishes — the final
 // RunResult must be bit-identical to the uninterrupted run. Runs for every
-// registry policy; a second fuzzer drives StreamEngine's RLE-ring save/load
-// the same way round by round.
+// registry policy; a second fuzzer cuts reduce::OnlineSolver at a random
+// round and checks every later round's outcome.
 //
 // Iteration count is capped for tier-1 speed and raised via the
 // RRS_FUZZ_ITERS environment variable (the `nightly`-labeled registration
@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "core/stream_engine.h"
+#include "reduce/distribute.h"
+#include "reduce/online.h"
+#include "reduce/varbatch.h"
 #include "sched/registry.h"
 #include "snapshot/codec.h"
 #include "util/rng.h"
@@ -140,59 +142,65 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SnapshotFuzzEveryPolicy,
                            return name;
                          });
 
-// ---- StreamEngine: random cut, restored stream must emit the same rounds -
+// ---- OnlineSolver: random cut, restored solver must emit the same rounds -
 
-TEST(SnapshotFuzzStream, RandomCutRestoresEmitIdenticalOutcomes) {
+TEST(SnapshotFuzzOnline, RandomCutRestoresEmitIdenticalOutcomes) {
   Rng rng(0x57f0);
   const int iters = FuzzIters();
 
-  const std::vector<std::string> policies = PolicyNames();
   for (int iter = 0; iter < iters; ++iter) {
     Instance instance = FuzzInstance(rng);
     EngineOptions options = FuzzOptions(rng);
-    const std::string name = policies[rng.NextBounded(policies.size())];
-    const std::string label = name + " iter " + std::to_string(iter);
+    const std::string label = "iter " + std::to_string(iter);
 
-    std::vector<Round> bounds;
+    // Subcolor budgets as the offline pipeline's Distribute step derives
+    // them, so no burst overflows its reservation.
+    const std::vector<uint32_t> budgets =
+        reduce::DistributeInstance(
+            reduce::VarBatchInstance(instance).transformed)
+            .subcolors_per_color;
+    std::vector<reduce::OnlineSolver::ColorSpec> colors;
     for (ColorId c = 0; c < instance.num_colors(); ++c) {
-      bounds.push_back(instance.delay_bound(c));
+      colors.push_back({instance.delay_bound(c), budgets[c]});
     }
     const Round cut = 1 + static_cast<Round>(rng.NextBounded(
                               static_cast<uint64_t>(
                                   instance.num_request_rounds())));
 
-    auto policy = MakePolicy(name);
-    StreamEngine original(bounds, *policy, options);
     std::vector<std::pair<ColorId, uint64_t>> arrivals;
-    auto feed_round = [&](StreamEngine& engine, Round k) -> const RoundOutcome& {
+    auto feed_round = [&](reduce::OnlineSolver& solver,
+                          Round k) -> const RoundOutcome& {
       arrivals.clear();
-      auto jobs = instance.jobs_in_round(k);
-      size_t i = 0;
-      while (i < jobs.size()) {
-        ColorId c = jobs[i].color;
-        uint64_t count = 0;
-        while (i < jobs.size() && jobs[i].color == c) {
-          ++count;
-          ++i;
+      if (k < instance.num_request_rounds()) {
+        for (const Job& job : instance.jobs_in_round(k)) {
+          if (arrivals.empty() || arrivals.back().first != job.color) {
+            arrivals.emplace_back(job.color, 0);
+          }
+          ++arrivals.back().second;
         }
-        arrivals.emplace_back(c, count);
       }
-      return engine.Step(arrivals);
+      return solver.Step(arrivals);
     };
 
+    reduce::OnlineSolver original(colors, options);
     for (Round k = 0; k < cut; ++k) feed_round(original, k);
 
     snapshot::Writer w;
     original.SaveState(w);
-    auto policy2 = MakePolicy(name);
-    StreamEngine restored(bounds, *policy2, options);
+    reduce::OnlineSolver restored(colors, options);
     snapshot::Reader r(w.words());
     restored.LoadState(r);
     ASSERT_TRUE(r.AtEnd()) << label;
+    ASSERT_EQ(restored.current_round(), cut) << label;
 
-    for (Round k = cut; k < instance.num_request_rounds(); ++k) {
+    // Through the request rounds and the drain, round by round.
+    for (Round k = cut; k < instance.num_request_rounds() ||
+                        original.executed() + original.cost().drops <
+                            original.arrived();
+         ++k) {
       const RoundOutcome a = feed_round(original, k);
       const RoundOutcome& b = feed_round(restored, k);
+      ASSERT_EQ(a.round, b.round) << label;
       ASSERT_EQ(a.reconfigs, b.reconfigs) << label << " round " << k;
       ASSERT_EQ(a.executions, b.executions) << label << " round " << k;
       ASSERT_EQ(a.drops, b.drops) << label << " round " << k;
@@ -203,7 +211,10 @@ TEST(SnapshotFuzzStream, RandomCutRestoresEmitIdenticalOutcomes) {
               restored.cost().reconfigurations)
         << label;
     ASSERT_EQ(original.cost().drops, restored.cost().drops) << label;
+    ASSERT_EQ(original.cost().weighted_drops, restored.cost().weighted_drops)
+        << label;
     ASSERT_EQ(original.executed(), restored.executed()) << label;
+    ASSERT_EQ(original.arrived(), restored.arrived()) << label;
   }
 }
 

@@ -3,6 +3,7 @@
 // streams loudly, and Snapshot → Restore into a *different* session object
 // must continue bit-identically to the uninterrupted run — the property the
 // chaos fleet's migration paths stand on.
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "core/stream_engine.h"
 #include "reduce/distribute.h"
 #include "reduce/online.h"
 #include "reduce/pipeline.h"
@@ -215,7 +215,7 @@ TEST(SnapshotCodecDeath, RejectsSectionOrderDrift) {
   EXPECT_DEATH(
       {
         snapshot::Reader r(w.words());
-        r.BeginSection(snapshot::kTagStreamEngine);
+        r.BeginSection(snapshot::kTagLruTracker);
       },
       "order mismatch");
 }
@@ -366,7 +366,42 @@ TEST(EngineSnapshot, RestoreWorksAcrossPriorSessionShapes) {
   ExpectSameRunResult(resumed, oracle, "restore into grown arena");
 }
 
-// ---- StreamEngine --------------------------------------------------------
+TEST(EngineSnapshotDeath, RestoreRejectsOutOfRangeResourceColor) {
+  // A checkpoint with a valid checksum whose resource color lies past the
+  // color table must die in RestoreRun, not index past the per-color arrays
+  // on the next step.
+  std::vector<workload::ColorSpec> specs = {{1, 0.4}, {2, 0.5}, {4, 0.5}};
+  workload::PoissonOptions gen;
+  gen.rounds = 32;
+  gen.seed = 13;
+  Instance instance = MakePoisson(specs, gen);
+  EngineOptions options = SnapshotOptions();
+
+  Engine engine(instance, options);
+  auto policy = MakePolicy("dlru-edf");
+  engine.BeginRun(*policy);
+  engine.StepRounds(5);
+  snapshot::Writer w;
+  engine.SnapshotRun(w);
+  engine.AbortRun();
+
+  // [magic][version][tag][payload words][checksum], then the engine payload:
+  // colors, resources, round, resource_color count, resource_color[0], ...
+  std::vector<uint64_t> words = w.words();
+  constexpr size_t kPayload = 5;
+  ASSERT_EQ(words[2], snapshot::kTagEngine);
+  ASSERT_EQ(words[kPayload + 3], options.num_resources);
+  words[kPayload + 4] = 1000;
+  words[4] = snapshot::FnvWords(
+      std::span<const uint64_t>(words).subspan(kPayload, words[3]));
+
+  Engine restored(instance, options);
+  auto policy2 = MakePolicy("dlru-edf");
+  snapshot::Reader r(words);
+  EXPECT_DEATH(restored.RestoreRun(*policy2, r), "resource color");
+}
+
+// ---- OnlineSolver --------------------------------------------------------
 
 std::vector<std::pair<ColorId, uint64_t>> RoundArrivals(
     const Instance& instance, Round k) {
@@ -384,50 +419,6 @@ std::vector<std::pair<ColorId, uint64_t>> RoundArrivals(
   }
   return arrivals;
 }
-
-TEST(StreamEngineSnapshot, RestoredStreamContinuesBitIdentically) {
-  Instance instance = SnapshotTenant(21);
-  std::vector<Round> bounds;
-  for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    bounds.push_back(instance.delay_bound(c));
-  }
-  EngineOptions options = SnapshotOptions();
-
-  auto policy = MakePolicy("dlru-edf");
-  StreamEngine original(bounds, *policy, options);
-  const Round cut = 31;
-  for (Round k = 0; k < cut; ++k) original.Step(RoundArrivals(instance, k));
-
-  snapshot::Writer w;
-  original.SaveState(w);
-
-  auto policy2 = MakePolicy("dlru-edf");
-  StreamEngine restored(bounds, *policy2, options);
-  snapshot::Reader r(w.words());
-  restored.LoadState(r);
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(restored.current_round(), cut);
-
-  // Every subsequent round's outcome must match element for element.
-  for (Round k = cut; k < instance.num_request_rounds(); ++k) {
-    auto arrivals = RoundArrivals(instance, k);
-    const RoundOutcome& a = original.Step(arrivals);
-    const RoundOutcome& b = restored.Step(arrivals);
-    EXPECT_EQ(a.round, b.round);
-    EXPECT_EQ(a.reconfigs, b.reconfigs) << "round " << k;
-    EXPECT_EQ(a.executions, b.executions) << "round " << k;
-    EXPECT_EQ(a.drops, b.drops) << "round " << k;
-  }
-  original.Finish();
-  restored.Finish();
-  EXPECT_EQ(original.cost().reconfigurations,
-            restored.cost().reconfigurations);
-  EXPECT_EQ(original.cost().drops, restored.cost().drops);
-  EXPECT_EQ(original.executed(), restored.executed());
-  EXPECT_EQ(original.arrived(), restored.arrived());
-}
-
-// ---- OnlineSolver --------------------------------------------------------
 
 TEST(OnlineSolverSnapshot, RestoredSolverContinuesBitIdentically) {
   Instance instance = SnapshotTenant(33, 80);

@@ -1,13 +1,9 @@
-// Tests for the streaming layer: StreamEngine must be cost-equivalent to the
-// replay Engine for every policy and workload (they share semantics, not
-// code), and OnlineSolver must be cost-equivalent to the offline pipeline
-// given matching subcolor budgets.
-#include <tuple>
-
+// Tests for the streaming layer: OnlineSolver must be cost-equivalent to the
+// offline pipeline given matching subcolor budgets, and report its outcomes
+// in the base color space.
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "core/stream_engine.h"
 #include "reduce/distribute.h"
 #include "reduce/online.h"
 #include "reduce/pipeline.h"
@@ -19,137 +15,6 @@
 
 namespace rrs {
 namespace {
-
-// Feeds an Instance into a StreamEngine round by round.
-void FeedInstance(const Instance& instance, StreamEngine& engine) {
-  std::vector<std::pair<ColorId, uint64_t>> arrivals;
-  for (Round k = 0; k < instance.num_request_rounds(); ++k) {
-    arrivals.clear();
-    auto jobs = instance.jobs_in_round(k);
-    size_t i = 0;
-    while (i < jobs.size()) {
-      ColorId c = jobs[i].color;
-      uint64_t count = 0;
-      while (i < jobs.size() && jobs[i].color == c) {
-        ++count;
-        ++i;
-      }
-      arrivals.emplace_back(c, count);
-    }
-    engine.Step(arrivals);
-  }
-  engine.Finish();
-}
-
-std::vector<Round> DelayBoundsOf(const Instance& instance) {
-  std::vector<Round> out;
-  for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    out.push_back(instance.delay_bound(c));
-  }
-  return out;
-}
-
-Instance StreamTestWorkload(uint64_t seed, bool rate_limited) {
-  std::vector<workload::ColorSpec> specs = {
-      {1, 0.5}, {2, 0.6}, {4, 0.6}, {8, 0.4}, {16, 0.3}};
-  workload::PoissonOptions gen;
-  gen.rounds = 96;
-  gen.rate_limited = rate_limited;
-  gen.seed = seed;
-  return MakePoisson(specs, gen);
-}
-
-// ---- StreamEngine == Engine (cost equivalence) ------------------------
-
-using EquivParam = std::tuple<std::string, uint64_t, bool>;
-
-class StreamEquivalence : public ::testing::TestWithParam<EquivParam> {};
-
-TEST_P(StreamEquivalence, CostsMatchReplayEngine) {
-  const auto& [policy_name, seed, rate_limited] = GetParam();
-  Instance instance = StreamTestWorkload(seed, rate_limited);
-
-  EngineOptions options;
-  options.num_resources = 8;
-  options.cost_model.delta = 3;
-
-  auto replay_policy = MakePolicy(policy_name);
-  RunResult replay = RunPolicy(instance, *replay_policy, options);
-
-  auto stream_policy = MakePolicy(policy_name);
-  StreamEngine stream(DelayBoundsOf(instance), *stream_policy, options);
-  FeedInstance(instance, stream);
-
-  EXPECT_EQ(stream.cost().reconfigurations, replay.cost.reconfigurations)
-      << policy_name;
-  EXPECT_EQ(stream.cost().drops, replay.cost.drops) << policy_name;
-  EXPECT_EQ(stream.executed(), replay.executed) << policy_name;
-  EXPECT_EQ(stream.arrived(), replay.arrived) << policy_name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, StreamEquivalence,
-    ::testing::Combine(::testing::Values("dlru", "edf", "seq-edf", "dlru-edf",
-                                         "greedy-edf", "lazy-greedy",
-                                         "static"),
-                       ::testing::Values(1u, 2u, 3u, 4u),
-                       ::testing::Values(true, false)),
-    [](const ::testing::TestParamInfo<EquivParam>& info) {
-      auto name = std::get<0>(info.param) + "_s" +
-                  std::to_string(std::get<1>(info.param)) +
-                  (std::get<2>(info.param) ? "_rl" : "_raw");
-      for (char& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name;
-    });
-
-TEST(StreamEngine, OutcomeReportsActions) {
-  InstanceBuilder b;
-  ColorId c = b.AddColor(4);
-  (void)c;
-  auto policy = MakePolicy("greedy-edf");
-  EngineOptions options;
-  options.num_resources = 2;
-  options.cost_model.delta = 2;
-  StreamEngine engine({4}, *policy, options);
-
-  std::vector<std::pair<ColorId, uint64_t>> arrivals = {{0, 3}};
-  const RoundOutcome& out0 = engine.Step(arrivals);
-  EXPECT_EQ(out0.round, 0);
-  ASSERT_FALSE(out0.reconfigs.empty());
-  ASSERT_FALSE(out0.executions.empty());
-  EXPECT_EQ(out0.executions[0].first, 0u);
-
-  engine.Finish();
-  EXPECT_FALSE(engine.HasPending());
-  EXPECT_EQ(engine.executed() + engine.cost().drops, engine.arrived());
-}
-
-TEST(StreamEngine, DropsReportedAtDeadline) {
-  auto policy = MakePolicy("never");
-  EngineOptions options;
-  options.num_resources = 1;
-  StreamEngine engine({2}, *policy, options);
-  std::vector<std::pair<ColorId, uint64_t>> arrivals = {{0, 5}};
-  engine.Step(arrivals);           // round 0: 5 jobs, deadline 2
-  EXPECT_TRUE(engine.Step({}).drops.empty());  // round 1: not yet
-  const RoundOutcome& out2 = engine.Step({});  // round 2: drop phase fires
-  ASSERT_EQ(out2.drops.size(), 1u);
-  EXPECT_EQ(out2.drops[0], (std::pair<ColorId, uint64_t>{0, 5}));
-}
-
-TEST(StreamEngine, RepeatedColorArrivalsAccumulate) {
-  auto policy = MakePolicy("static");
-  EngineOptions options;
-  options.num_resources = 1;
-  StreamEngine engine({8}, *policy, options);
-  std::vector<std::pair<ColorId, uint64_t>> arrivals = {{0, 2}, {0, 3}};
-  engine.Step(arrivals);
-  EXPECT_EQ(engine.arrived(), 5u);
-  engine.Finish();
-  EXPECT_EQ(engine.executed() + engine.cost().drops, 5u);
-}
 
 // ---- OnlineSolver == offline pipeline --------------------------------
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/stream_engine.h"
 #include "sched/registry.h"
 #include "snapshot/codec.h"
 #include "workload/arrival_source.h"
@@ -144,30 +143,6 @@ TEST(SourceDifferential, EveryGeneratorEveryPolicyMatchesMaterialized) {
       ExpectSameResult(instance_fed, source_fed, family.name + "/" + name);
     }
   }
-}
-
-TEST(SourceDifferential, StreamEngineSourceOverloadMatchesEngine) {
-  auto source = GeneratorFamilies()[0].make();
-  const Instance materialized = workload::Materialize(*source);
-  EngineOptions options;
-  options.num_resources = 4;
-  auto policy = MakePolicy("dlru-edf");
-  const RunResult engine_result = RunPolicy(materialized, *policy, options);
-
-  std::vector<Round> delay_bounds;
-  for (size_t c = 0; c < materialized.num_colors(); ++c) {
-    delay_bounds.push_back(materialized.delay_bound(static_cast<ColorId>(c)));
-  }
-  auto stream_policy = MakePolicy("dlru-edf");
-  StreamEngine stream(std::move(delay_bounds), *stream_policy, options);
-  source->Reset();
-  for (Round k = 0; k <= source->horizon(); ++k) stream.Step(*source);
-  stream.Finish();
-  EXPECT_EQ(engine_result.cost.drops, stream.cost().drops);
-  EXPECT_EQ(engine_result.cost.reconfigurations,
-            stream.cost().reconfigurations);
-  EXPECT_EQ(engine_result.executed, stream.executed());
-  EXPECT_EQ(engine_result.arrived, stream.arrived());
 }
 
 // ---- Mix wrappers ---------------------------------------------------------
