@@ -700,14 +700,22 @@ void BatchEngine::RestoreLaneImpl(uint32_t lane, snapshot::Reader& r,
         << "snapshot pending count disagrees with ring contents for color "
         << c;
   }
+  // Checkpoints can arrive from another process: range-check every value
+  // that later indexes a per-color array, as Engine::RestoreRun does.
   r.GetVec(l.nonidle_list);
+  for (const ColorId c : l.nonidle_list) {
+    RRS_CHECK_LT(c, num_colors_) << "snapshot nonidle color out of range";
+  }
   r.GetVec(l.in_nonidle_list);
+  RRS_CHECK_EQ(l.in_nonidle_list.size(), num_colors_);
 
   const uint64_t snap_wheel_size = r.GetU64();
   // The remap below needs unique deadline residues over the live window,
   // which any wheel a scalar session could have had satisfies.
   RRS_CHECK_GE(snap_wheel_size, static_cast<uint64_t>(max_delay_) + 1)
       << "snapshot wheel smaller than the shape's max delay bound";
+  RRS_CHECK_LE(snap_wheel_size, r.remaining())
+      << "snapshot wheel overruns section";
   l.wheel_size = snap_wheel_size;
   for (uint64_t j = 0; j < snap_wheel_size; ++j) {
     r.GetVec(snap_colors_scratch_);
@@ -725,16 +733,19 @@ void BatchEngine::RestoreLaneImpl(uint32_t lane, snapshot::Reader& r,
   }
 
   r.GetVec(l.last_wheel_push);
+  RRS_CHECK_EQ(l.last_wheel_push.size(), num_colors_);
   l.cost.reconfigurations = r.GetU64();
   l.cost.drops = r.GetU64();
   l.cost.weighted_drops = r.GetU64();
   l.executed = r.GetU64();
   r.GetVec(l.drops_per_color);
+  RRS_CHECK_EQ(l.drops_per_color.size(), num_colors_);
   const bool obs_fields = r.GetBool();
 #if RRS_OBS_LEVEL >= 1
   RRS_CHECK(obs_fields)
       << "snapshot from an RRS_OBS_LEVEL=0 build lacks telemetry state";
   r.GetVec(l.reconfigs_per_color);
+  RRS_CHECK_EQ(l.reconfigs_per_color.size(), num_colors_);
 #else
   RRS_CHECK(!obs_fields)
       << "snapshot carries telemetry state this RRS_OBS_LEVEL=0 build drops";

@@ -1,11 +1,22 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 
 namespace rrs {
 namespace obs {
+
+namespace {
+
+// Tracer ids start at 1, so 0 never matches a live tracer.
+uint64_t NextTracerId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -14,7 +25,8 @@ uint64_t NowNs() {
           .count());
 }
 
-Tracer::Tracer(Options options) : options_(options), epoch_ns_(NowNs()) {}
+Tracer::Tracer(Options options)
+    : options_(options), epoch_ns_(NowNs()), id_(NextTracerId()) {}
 
 TraceTrack* Tracer::RegisterTrack(std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -25,15 +37,15 @@ TraceTrack* Tracer::RegisterTrack(std::string name) {
 }
 
 TraceTrack* Tracer::ThreadTrack() {
-  // Cached per (thread, tracer). A thread that alternates between tracers
+  // Cached per (thread, tracer id). A thread that alternates between tracers
   // re-registers; our usage is one tracer per process at a time.
-  thread_local Tracer* cached_tracer = nullptr;
+  thread_local uint64_t cached_id = 0;
   thread_local TraceTrack* cached_track = nullptr;
-  if (cached_tracer != this) {
+  if (cached_id != id_) {
     TraceTrack* track = RegisterTrack("thread");
     track->name_ += "-" + std::to_string(track->tid_);
     cached_track = track;
-    cached_tracer = this;
+    cached_id = id_;
   }
   return cached_track;
 }

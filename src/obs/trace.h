@@ -105,6 +105,9 @@ class Tracer {
  private:
   const Options options_;
   const uint64_t epoch_ns_;
+  // Process-unique, never reused: the per-thread track cache keys on it, so
+  // a tracer constructed at a destroyed tracer's address misses the cache.
+  const uint64_t id_;
   mutable std::mutex mutex_;        // guards tracks_ structure, not rings
   std::deque<TraceTrack> tracks_;   // deque: stable element addresses
 };

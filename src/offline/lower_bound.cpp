@@ -40,32 +40,6 @@ uint64_t LowerBound(const Instance& instance, uint32_t m,
   return std::max(DropLowerBound(instance, m), ColorLowerBound(instance, model));
 }
 
-uint64_t CapacityRelaxedDrops(std::span<const uint32_t> rle, uint32_t m) {
-  uint64_t cum = 0;
-  uint64_t worst = 0;
-  for (size_t i = 0; i + 1 < rle.size(); i += 2) {
-    const uint64_t rel = rle[i];
-    cum += rle[i + 1];
-    const uint64_t capacity = rel * m;
-    if (cum > capacity) worst = std::max(worst, cum - capacity);
-  }
-  return worst;
-}
-
-uint64_t CapacityRelaxedDropsEnvelope(std::span<const uint32_t> rle3,
-                                      uint32_t m, bool pessimistic) {
-  const size_t count_off = pessimistic ? 2 : 1;
-  uint64_t cum = 0;
-  uint64_t worst = 0;
-  for (size_t i = 0; i + 2 < rle3.size(); i += 3) {
-    const uint64_t rel = rle3[i];
-    cum += rle3[i + count_off];
-    const uint64_t capacity = rel * m;
-    if (cum > capacity) worst = std::max(worst, cum - capacity);
-  }
-  return worst;
-}
-
 uint64_t RobustLowerBound(const workload::UncertainInstance& set, uint32_t m,
                           const CostModel& model) {
   return LowerBound(set.ForcedInstance(), m, model);

@@ -13,6 +13,8 @@
 // Both legs hold for every schedule with m resources, so the max does too.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -33,21 +35,50 @@ uint64_t LowerBound(const Instance& instance, uint32_t m,
 
 // Minimum number of drops forced by a single color's pending-deadline
 // profile when that color owns all m resources and reconfiguration is free —
-// the capacity-m relaxation behind the exact solver's admissible per-state
+// the capacity-m relaxation behind the offline search's admissible per-state
 // bound (a per-profile generalization of the Par-EDF drop leg above).
 //
-// `rle` is interleaved (relative deadline, count) pairs with strictly
-// ascending deadlines; a job at relative deadline r has exactly r execution
-// slots left. By Hall's condition the forced drops are
-// max_i(cum_i − m·rel_i)⁺ over the RLE prefixes, and EDF achieves that.
-uint64_t CapacityRelaxedDrops(std::span<const uint32_t> rle, uint32_t m);
+// The profile is `buckets` entries of kStride words: the relative deadline
+// (strictly ascending; a job at relative deadline r has exactly r execution
+// slots left) at word 0 and its count at word `count_at`. By Hall's
+// condition the forced drops are max_i(cum_i − m·rel_i)⁺ over the bucket
+// prefixes, and EDF achieves that. The same pass also totals the counts.
+struct RelaxedDrops {
+  uint64_t drops = 0;
+  uint64_t pending = 0;
+};
 
-// The same Hall-bound leg over one envelope of an *interval* profile
-// (interleaved (rel, lo, hi) triples, see offline/interval_state.h):
-// `pessimistic` selects the hi counts, otherwise lo. Admissible for the
-// corresponding envelope instance by the argument above.
-uint64_t CapacityRelaxedDropsEnvelope(std::span<const uint32_t> rle3,
-                                      uint32_t m, bool pessimistic);
+template <size_t kStride>
+inline RelaxedDrops StridedRelaxedDrops(const uint32_t* rle, size_t buckets,
+                                        uint32_t m, size_t count_at = 1) {
+  RelaxedDrops out;
+  for (size_t i = 0; i < buckets; ++i) {
+    const uint64_t rel = rle[kStride * i];
+    out.pending += rle[kStride * i + count_at];
+    const uint64_t capacity = rel * m;
+    if (out.pending > capacity) {
+      out.drops = std::max(out.drops, out.pending - capacity);
+    }
+  }
+  return out;
+}
+
+// The bound over interleaved (relative deadline, count) pairs.
+inline uint64_t CapacityRelaxedDrops(std::span<const uint32_t> rle,
+                                     uint32_t m) {
+  return StridedRelaxedDrops<2>(rle.data(), rle.size() / 2, m).drops;
+}
+
+// The same bound over one envelope of an *interval* profile (interleaved
+// (rel, lo, hi) triples, see offline/interval_state.h): `pessimistic`
+// selects the hi counts, otherwise lo. Admissible for the corresponding
+// envelope instance by the argument above.
+inline uint64_t CapacityRelaxedDropsEnvelope(std::span<const uint32_t> rle3,
+                                             uint32_t m, bool pessimistic) {
+  return StridedRelaxedDrops<3>(rle3.data(), rle3.size() / 3, m,
+                                pessimistic ? 2 : 1)
+      .drops;
+}
 
 // Generalization of LowerBound to an interval-uncertainty set: every
 // concrete trace in the set is a superset of the forced (zero-width-window)

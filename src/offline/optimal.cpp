@@ -1,158 +1,19 @@
 #include "offline/optimal.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <deque>
 #include <map>
-#include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/scope.h"
 #include "offline/clairvoyant.h"
+#include "offline/layered_search.h"
 #include "offline/lower_bound.h"
-#include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 #include "util/check.h"
 
 namespace rrs {
 namespace offline {
 
 namespace {
-
-constexpr uint32_t kNoIndex = 0xffffffffu;
-// Merge shards per layer. Fixed (not derived from the pool size) so the
-// canonical layer order — shard by config hash, span-lexicographic inside a
-// shard — is identical for every thread count.
-constexpr uint32_t kNumShards = 32;
-// Dominance is quadratic per config group; each state is checked against at
-// most this many cheaper groupmates, which keeps the pass linear-ish while
-// still catching the dense equal-config clusters where dominance pays.
-constexpr uint32_t kDominanceScanCap = 32;
-
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
-// FNV-1a over the words with a final avalanche: the table probes use the low
-// bits and the shard split uses the high bits, so both need mixing.
-uint64_t HashSpan(const uint32_t* p, uint32_t n) {
-  uint64_t h = 1469598103934665603ULL ^ (uint64_t{n} << 32);
-  for (uint32_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
-}
-
-// Multiset overlap of two sorted uint32 spans of equal length m.
-uint32_t SortedOverlap(const uint32_t* a, const uint32_t* b, uint32_t m) {
-  uint32_t overlap = 0;
-  uint32_t i = 0, j = 0;
-  while (i < m && j < m) {
-    if (a[i] == b[j]) {
-      ++overlap;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return overlap;
-}
-
-// One canonical state: a contiguous uint32 span in an arena —
-// [config (m sorted words, black = num_colors)] then [per color: length,
-// (rel, count) pairs ascending by rel] — plus search bookkeeping.
-struct Node {
-  uint64_t hash = 0;
-  uint64_t cost = 0;
-  uint32_t offset = 0;  // into the owning store's arena
-  uint32_t len = 0;     // span length in words
-  uint32_t parent = kNoIndex;  // index into the previous layer's nodes
-};
-
-// Arena + node list + open-addressing intern table. Single-writer; chunk
-// expansion and shard merge each own one, so the hot path takes no locks and
-// performs no per-state heap allocation (arena/node vectors grow amortized).
-struct NodeStore {
-  std::vector<uint32_t> arena;
-  std::vector<Node> nodes;
-  std::vector<uint32_t> slots;  // node indices; kNoIndex = empty
-  uint64_t mask = 0;
-
-  const uint32_t* span(const Node& n) const { return arena.data() + n.offset; }
-
-  void Reset(size_t expected) {
-    arena.clear();
-    nodes.clear();
-    size_t cap = 64;
-    while (cap < expected * 2) cap <<= 1;
-    slots.assign(cap, kNoIndex);
-    mask = cap - 1;
-  }
-
-  void Rehash() {
-    size_t cap = slots.size() * 2;
-    slots.assign(cap, kNoIndex);
-    mask = cap - 1;
-    for (uint32_t i = 0; i < nodes.size(); ++i) {
-      uint64_t pos = nodes[i].hash & mask;
-      while (slots[pos] != kNoIndex) pos = (pos + 1) & mask;
-      slots[pos] = i;
-    }
-  }
-
-  // Interns (span, cost, parent), keeping the minimum (cost, parent) per
-  // state. That pair is a total order, so the surviving entry is independent
-  // of insertion order — the root of thread-count determinism.
-  void Intern(uint64_t hash, const uint32_t* sp, uint32_t len, uint64_t cost,
-              uint32_t parent) {
-    uint64_t pos = hash & mask;
-    for (;;) {
-      uint32_t idx = slots[pos];
-      if (idx == kNoIndex) break;
-      Node& n = nodes[idx];
-      if (n.hash == hash && n.len == len &&
-          std::memcmp(arena.data() + n.offset, sp, len * sizeof(uint32_t)) ==
-              0) {
-        if (cost < n.cost || (cost == n.cost && parent < n.parent)) {
-          n.cost = cost;
-          n.parent = parent;
-        }
-        return;
-      }
-      pos = (pos + 1) & mask;
-    }
-    Node n;
-    n.hash = hash;
-    n.cost = cost;
-    n.offset = static_cast<uint32_t>(arena.size());
-    n.len = len;
-    n.parent = parent;
-    arena.insert(arena.end(), sp, sp + len);
-    slots[pos] = static_cast<uint32_t>(nodes.size());
-    nodes.push_back(n);
-    if (nodes.size() * 4 >= slots.size() * 3) Rehash();
-  }
-};
-
-// A finalized layer: nodes in canonical order (config-hash shard, then
-// span-lexicographic) over one contiguous arena.
-struct PackedLayer {
-  std::vector<uint32_t> arena;
-  std::vector<Node> nodes;
-
-  const uint32_t* span(const Node& n) const { return arena.data() + n.offset; }
-};
 
 // True when profile `a` is pointwise cumulative-dominated: for every horizon
 // t, a has at most as many jobs due within t as b. Profiles are (rel, count)
@@ -172,6 +33,107 @@ bool ProfileDominates(const uint32_t* a, uint32_t alen, const uint32_t* b,
   }
   return true;
 }
+
+// Concrete states for the layered search: per color, (relative deadline,
+// count) buckets of pending jobs, and the accumulated cost with a parent
+// link for schedule reconstruction.
+class ExactModel {
+ public:
+  struct Payload {
+    uint64_t cost = 0;
+    uint32_t parent = detail::kNoIndex;  // index into the previous layer
+  };
+  static constexpr uint32_t kStride = 2;
+
+  // Gathers dense per-round per-color arrival counts once.
+  ExactModel(const Instance& instance, uint32_t m)
+      : instance_(instance),
+        m_(m),
+        num_colors_(static_cast<uint32_t>(instance.num_colors())),
+        arrivals_((static_cast<size_t>(instance.horizon()) + 1) * num_colors_,
+                  0) {
+    for (const Job& job : instance.jobs()) {
+      ++arrivals_[static_cast<size_t>(job.arrival) * num_colors_ + job.color];
+    }
+  }
+
+  uint64_t drop_cost(uint32_t c) const { return instance_.drop_cost(c); }
+
+  static Payload Reconfigure(const Payload& from, uint32_t parent,
+                             uint64_t cost) {
+    return {from.cost + cost, parent};
+  }
+
+  // Executions consume the earliest-deadline buckets, survivors advance one
+  // round (rel - 1; rel == 1 drops at the color's weight), and arrivals
+  // append at rel = D_c, strictly above every survivor.
+  uint32_t Advance(uint32_t c, const uint32_t* buckets, uint32_t len,
+                   uint32_t exec, Round arrive, Payload& p,
+                   std::vector<uint32_t>& child) const {
+    const uint64_t w = instance_.drop_cost(c);
+    uint32_t out = 0;
+    for (uint32_t i = 0; i < len; ++i) {
+      const uint32_t rel = buckets[2 * i];
+      uint32_t count = buckets[2 * i + 1];
+      const uint32_t take = std::min(exec, count);
+      exec -= take;
+      count -= take;
+      if (count == 0) continue;
+      if (rel == 1) {
+        p.cost += count * w;
+        continue;
+      }
+      child.push_back(rel - 1);
+      child.push_back(count);
+      ++out;
+    }
+    const uint32_t arriving =
+        arrivals_[static_cast<size_t>(arrive) * num_colors_ + c];
+    if (arriving != 0) {
+      child.push_back(static_cast<uint32_t>(instance_.delay_bound(c)));
+      child.push_back(arriving);
+      ++out;
+    }
+    return out;
+  }
+
+  static uint64_t Cost(const Payload& p) { return p.cost; }
+
+  // Keeps the minimum (cost, parent). That pair is a total order, so the
+  // surviving entry is independent of insertion order.
+  static void Merge(Payload& kept, const Payload& other) {
+    if (other.cost < kept.cost ||
+        (other.cost == kept.cost && other.parent < kept.parent)) {
+      kept = other;
+    }
+  }
+
+  static bool GroupBefore(const Payload& a, const Payload& b) {
+    return a.cost < b.cost;
+  }
+
+  // A groupmate of no greater cost whose every per-color profile is
+  // pointwise cumulative-dominated by the victim's: any completion of the
+  // victim is feasible for it at no extra cost.
+  bool Dominates(const uint32_t* a, uint32_t, const Payload&,
+                 const uint32_t* b, uint32_t, const Payload&) const {
+    size_t ia = m_, ib = m_;
+    for (uint32_t c = 0; c < num_colors_; ++c) {
+      const uint32_t la = a[ia++];
+      const uint32_t lb = b[ib++];
+      if (!ProfileDominates(a + ia, la, b + ib, lb)) return false;
+      ia += 2 * static_cast<size_t>(la);
+      ib += 2 * static_cast<size_t>(lb);
+    }
+    return true;
+  }
+
+ private:
+  const Instance& instance_;
+  const uint32_t m_;
+  const uint32_t num_colors_;
+  std::vector<uint32_t> arrivals_;  // [round * num_colors + color]
+};
 
 // Replays a per-round configuration-multiset sequence against the instance,
 // producing a concrete Schedule with real job ids. Resource assignment keeps
@@ -238,566 +200,74 @@ Schedule ReplayConfigs(const Instance& instance, uint32_t m, uint32_t black,
   return schedule;
 }
 
-// Per-chunk expansion context: an intern store, the shard partition of its
-// nodes, tallies, and all scratch buffers — everything a worker touches is
-// chunk-local.
-struct ExpandCtx {
-  NodeStore store;
-  std::array<std::vector<uint32_t>, kNumShards> by_shard;
-  uint64_t generated = 0;
-  uint64_t pruned = 0;
-
-  // Scratch (reused across every parent/config of the chunk).
-  std::vector<uint32_t> col_off;   // per color: offset of RLE in parent span
-  std::vector<uint32_t> col_len;   // per color: RLE pair count
-  std::vector<uint32_t> alphabet;  // candidate config colors, sorted
-  std::vector<uint8_t> in_alphabet;
-  std::vector<uint32_t> cfg;       // config being enumerated
-  std::vector<uint32_t> exec;      // per color: executions under cfg
-  std::vector<uint32_t> child;     // child span under construction
-};
-
-class Solver {
- public:
-  Solver(const Instance& instance, const OptimalOptions& options)
-      : instance_(instance),
-        options_(options),
-        m_(options.num_resources),
-        num_colors_(static_cast<uint32_t>(instance.num_colors())),
-        black_(num_colors_),
-        delta_(options.cost_model.delta),
-        horizon_(instance.horizon()) {}
-
-  OptimalResult Run();
-
- private:
-  void BuildArrivals();
-  void MakeInitialLayer(PackedLayer& layer) const;
-  uint64_t Heuristic(const uint32_t* span) const;
-  void ExpandChunk(const PackedLayer& cur, size_t lo, size_t hi, Round k,
-                   ExpandCtx& ctx) const;
-  void EmitChildren(const PackedLayer& cur, uint32_t parent_index, Round k,
-                    ExpandCtx& ctx) const;
-  void EnumerateConfigs(const PackedLayer& cur, uint32_t parent_index, Round k,
-                        size_t alpha_from, ExpandCtx& ctx) const;
-  void ProcessConfig(const PackedLayer& cur, uint32_t parent_index, Round k,
-                     ExpandCtx& ctx) const;
-  uint64_t MergeShard(const std::vector<ExpandCtx>& chunks, uint32_t shard,
-                      NodeStore& out) const;
-  template <typename Fn>
-  void ForIndices(int64_t n, Fn&& fn) const {
-    if (options_.pool == nullptr) {
-      for (int64_t i = 0; i < n; ++i) fn(i);
-    } else {
-      ParallelFor(*options_.pool, 0, n, fn);
-    }
-  }
-
-  const Instance& instance_;
-  const OptimalOptions& options_;
-  const uint32_t m_;
-  const uint32_t num_colors_;
-  const uint32_t black_;
-  const uint64_t delta_;
-  const Round horizon_;
-
-  // Dense per-round per-color arrival counts, gathered once.
-  std::vector<std::vector<uint32_t>> arrivals_;
-  uint64_t incumbent_ = ~uint64_t{0};
-};
-
-void Solver::BuildArrivals() {
-  arrivals_.assign(static_cast<size_t>(horizon_) + 1,
-                   std::vector<uint32_t>(num_colors_, 0));
-  for (const Job& job : instance_.jobs()) {
-    ++arrivals_[static_cast<size_t>(job.arrival)][job.color];
-  }
-}
-
-void Solver::MakeInitialLayer(PackedLayer& layer) const {
-  std::vector<uint32_t> span(m_, black_);
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const uint32_t count = arrivals_[0][c];
-    if (count == 0) {
-      span.push_back(0);
-    } else {
-      span.push_back(1);
-      span.push_back(static_cast<uint32_t>(instance_.delay_bound(c)));
-      span.push_back(count);
-    }
-  }
-  Node root;
-  root.hash = HashSpan(span.data(), static_cast<uint32_t>(span.size()));
-  root.cost = 0;
-  root.offset = 0;
-  root.len = static_cast<uint32_t>(span.size());
-  root.parent = kNoIndex;
-  layer.arena = std::move(span);
-  layer.nodes = {root};
-}
-
-// Admissible lower bound on the completion cost of a state: per color, the
-// capacity-relaxed EDF drops (the color owns all m resources, reconfiguration
-// free — CapacityRelaxedDrops, a per-profile generalization of the Par-EDF
-// drop leg of offline::LowerBound), and for colors outside the current
-// config the ColorLowerBound alternative min(drop everything, one
-// reconfiguration + relaxed drops). Each color's term charges only that
-// color's drops and a reconfiguration *to that color*, so the sum never
-// exceeds any completion's true remaining cost.
-uint64_t Solver::Heuristic(const uint32_t* span) const {
-  uint64_t h = 0;
-  size_t pos = m_;
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const uint32_t len = span[pos++];
-    if (len == 0) continue;
-    const uint32_t* rle = span + pos;
-    pos += 2 * static_cast<size_t>(len);
-    uint64_t pend = 0;
-    for (uint32_t i = 0; i < len; ++i) pend += rle[2 * i + 1];
-    const uint64_t w = instance_.drop_cost(c);
-    uint64_t leg = CapacityRelaxedDrops({rle, 2 * static_cast<size_t>(len)},
-                                        m_) * w;
-    bool in_config = false;
-    for (uint32_t r = 0; r < m_; ++r) {
-      if (span[r] == c) {
-        in_config = true;
-        break;
-      }
-    }
-    if (!in_config) leg = std::min(pend * w, delta_ + leg);
-    h += leg;
-  }
-  return h;
-}
-
-void Solver::EmitChildren(const PackedLayer& cur, uint32_t parent_index,
-                          Round k, ExpandCtx& ctx) const {
-  const Node& node = cur.nodes[parent_index];
-  const uint32_t* span = cur.span(node);
-
-  // Index the parent's per-color RLE sections.
-  size_t pos = m_;
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const uint32_t len = span[pos++];
-    ctx.col_len[c] = len;
-    ctx.col_off[c] = static_cast<uint32_t>(pos);
-    pos += 2 * static_cast<size_t>(len);
-  }
-
-  // Alphabet: current colors ∪ nonidle colors (reconfiguring to an idle
-  // color is dominated; "keep" is covered by including current colors).
-  ctx.alphabet.clear();
-  for (uint32_t r = 0; r < m_; ++r) {
-    const uint32_t c = span[r];
-    if (!ctx.in_alphabet[c]) {
-      ctx.in_alphabet[c] = 1;
-      ctx.alphabet.push_back(c);
-    }
-  }
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    if (ctx.col_len[c] != 0 && !ctx.in_alphabet[c]) {
-      ctx.in_alphabet[c] = 1;
-      ctx.alphabet.push_back(c);
-    }
-  }
-  std::sort(ctx.alphabet.begin(), ctx.alphabet.end());
-  for (uint32_t c : ctx.alphabet) ctx.in_alphabet[c] = 0;
-
-  ctx.cfg.clear();
-  EnumerateConfigs(cur, parent_index, k, 0, ctx);
-}
-
-void Solver::EnumerateConfigs(const PackedLayer& cur, uint32_t parent_index,
-                              Round k, size_t alpha_from,
-                              ExpandCtx& ctx) const {
-  if (ctx.cfg.size() == m_) {
-    ProcessConfig(cur, parent_index, k, ctx);
-    return;
-  }
-  for (size_t i = alpha_from; i < ctx.alphabet.size(); ++i) {
-    ctx.cfg.push_back(ctx.alphabet[i]);
-    EnumerateConfigs(cur, parent_index, k, i, ctx);
-    ctx.cfg.pop_back();
-  }
-}
-
-void Solver::ProcessConfig(const PackedLayer& cur, uint32_t parent_index,
-                           Round k, ExpandCtx& ctx) const {
-  const Node& node = cur.nodes[parent_index];
-  const uint32_t* span = cur.span(node);
-  const std::vector<uint32_t>& next_arrivals =
-      arrivals_[static_cast<size_t>(k) + 1];
-
-  uint64_t cost =
-      node.cost + delta_ * (m_ - SortedOverlap(span, ctx.cfg.data(), m_));
-
-  // Execution counts per color under this config (cfg is sorted).
-  for (uint32_t i = 0; i < m_;) {
-    const uint32_t c = ctx.cfg[i];
-    uint32_t j = i;
-    while (j < m_ && ctx.cfg[j] == c) ++j;
-    if (c != black_) ctx.exec[c] = j - i;
-    i = j;
-  }
-
-  // Build the child span in place: executions consume the earliest-deadline
-  // entries, survivors advance one round (rel - 1; rel == 1 drops), arrivals
-  // of round k+1 append at rel = D_c (strictly above every survivor).
-  ctx.child.clear();
-  ctx.child.insert(ctx.child.end(), ctx.cfg.begin(), ctx.cfg.end());
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const size_t len_pos = ctx.child.size();
-    ctx.child.push_back(0);
-    uint32_t out_len = 0;
-    uint32_t remaining_exec = ctx.exec[c];
-    const uint32_t* rle = span + ctx.col_off[c];  // col_off is span-relative
-    const uint64_t w = instance_.drop_cost(c);
-    for (uint32_t i = 0; i < ctx.col_len[c]; ++i) {
-      const uint32_t rel = rle[2 * i];
-      uint32_t count = rle[2 * i + 1];
-      const uint32_t take = std::min(remaining_exec, count);
-      remaining_exec -= take;
-      count -= take;
-      if (count == 0) continue;
-      if (rel == 1) {
-        cost += count * w;  // dropped in round k+1's drop phase (weighted)
-        continue;
-      }
-      ctx.child.push_back(rel - 1);
-      ctx.child.push_back(count);
-      ++out_len;
-    }
-    const uint32_t arriving = next_arrivals[c];
-    if (arriving != 0) {
-      ctx.child.push_back(static_cast<uint32_t>(instance_.delay_bound(c)));
-      ctx.child.push_back(arriving);
-      ++out_len;
-    }
-    ctx.child[len_pos] = out_len;
-  }
-  for (uint32_t c : ctx.cfg) {
-    if (c != black_) ctx.exec[c] = 0;
-  }
-
-  ++ctx.generated;
-  if (options_.prune_bound && cost + Heuristic(ctx.child.data()) > incumbent_) {
-    ++ctx.pruned;
-    return;
-  }
-  const uint32_t len = static_cast<uint32_t>(ctx.child.size());
-  ctx.store.Intern(HashSpan(ctx.child.data(), len), ctx.child.data(), len,
-                   cost, parent_index);
-}
-
-void Solver::ExpandChunk(const PackedLayer& cur, size_t lo, size_t hi, Round k,
-                         ExpandCtx& ctx) const {
-  ctx.store.Reset((hi - lo) * 4);
-  for (auto& list : ctx.by_shard) list.clear();
-  ctx.generated = 0;
-  ctx.pruned = 0;
-  ctx.col_off.resize(num_colors_);
-  ctx.col_len.resize(num_colors_);
-  ctx.in_alphabet.assign(num_colors_ + 1, 0);
-  ctx.exec.assign(num_colors_, 0);
-
-  for (size_t i = lo; i < hi; ++i) {
-    EmitChildren(cur, static_cast<uint32_t>(i), k, ctx);
-  }
-  // Partition by config shard (hash of the first m words): states sharing a
-  // config land in the same shard, which makes config groups contiguous
-  // after the per-shard lexicographic sort — dominance needs that.
-  for (uint32_t i = 0; i < ctx.store.nodes.size(); ++i) {
-    const uint64_t h = HashSpan(ctx.store.span(ctx.store.nodes[i]), m_);
-    ctx.by_shard[h >> 59].push_back(i);
-  }
-}
-
-// Merges one shard's candidates from every chunk (min-cost reduction), sorts
-// span-lexicographically, and applies the dominance rule. Returns the number
-// of dominated states removed.
-uint64_t Solver::MergeShard(const std::vector<ExpandCtx>& chunks,
-                            uint32_t shard, NodeStore& out) const {
-  size_t expected = 0;
-  for (const ExpandCtx& ctx : chunks) expected += ctx.by_shard[shard].size();
-  if (expected == 0) {
-    // Thin layers leave most shards empty; skip the table reset entirely —
-    // at 32 shards x horizon layers the resets would dominate small solves.
-    out.arena.clear();
-    out.nodes.clear();
-    return 0;
-  }
-  out.Reset(expected + 1);
-  for (const ExpandCtx& ctx : chunks) {
-    for (uint32_t idx : ctx.by_shard[shard]) {
-      const Node& n = ctx.store.nodes[idx];
-      out.Intern(n.hash, ctx.store.span(n), n.len, n.cost, n.parent);
-    }
-  }
-
-  std::sort(out.nodes.begin(), out.nodes.end(),
-            [&](const Node& a, const Node& b) {
-              return std::lexicographical_compare(
-                  out.span(a), out.span(a) + a.len, out.span(b),
-                  out.span(b) + b.len);
-            });
-
-  if (!options_.prune_dominance || out.nodes.size() < 2) return 0;
-
-  // Config groups are contiguous after the sort (the span starts with the
-  // config words). Within a group, order by cost (stable: lexicographic
-  // order breaks ties) and kill any state pointwise cumulative-dominated by
-  // an earlier — no costlier — survivor.
-  std::vector<Node>& nodes = out.nodes;
-  std::vector<uint8_t> dead(nodes.size(), 0);
-  std::vector<uint32_t> group;
-  uint64_t removed = 0;
-  auto same_config = [&](const Node& a, const Node& b) {
-    return std::memcmp(out.span(a), out.span(b), m_ * sizeof(uint32_t)) == 0;
-  };
-  auto dominates = [&](const Node& a, const Node& b) {
-    const uint32_t* pa = out.span(a);
-    const uint32_t* pb = out.span(b);
-    size_t ia = m_, ib = m_;
-    for (uint32_t c = 0; c < num_colors_; ++c) {
-      const uint32_t la = pa[ia++];
-      const uint32_t lb = pb[ib++];
-      if (!ProfileDominates(pa + ia, la, pb + ib, lb)) return false;
-      ia += 2 * static_cast<size_t>(la);
-      ib += 2 * static_cast<size_t>(lb);
-    }
-    return true;
-  };
-
-  size_t g0 = 0;
-  while (g0 < nodes.size()) {
-    size_t g1 = g0 + 1;
-    while (g1 < nodes.size() && same_config(nodes[g0], nodes[g1])) ++g1;
-    if (g1 - g0 >= 2) {
-      group.resize(g1 - g0);
-      for (size_t i = 0; i < group.size(); ++i) {
-        group[i] = static_cast<uint32_t>(g0 + i);
-      }
-      std::stable_sort(group.begin(), group.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         return nodes[a].cost < nodes[b].cost;
-                       });
-      for (size_t j = 1; j < group.size(); ++j) {
-        uint32_t scanned = 0;
-        for (size_t i = 0; i < j && scanned < kDominanceScanCap; ++i) {
-          if (dead[group[i]]) continue;
-          ++scanned;
-          if (dominates(nodes[group[i]], nodes[group[j]])) {
-            dead[group[j]] = 1;
-            ++removed;
-            break;
-          }
-        }
-      }
-    }
-    g0 = g1;
-  }
-  if (removed != 0) {
-    size_t w = 0;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (!dead[i]) nodes[w++] = nodes[i];
-    }
-    nodes.resize(w);
-  }
-  return removed;
-}
-
-OptimalResult Solver::Run() {
-  OptimalResult result;
-
-  if (instance_.num_jobs() == 0) {
-    result.exact = true;
-    if (options_.reconstruct_schedule) result.schedule = Schedule(m_, 1);
-    return result;
-  }
-
-  BuildArrivals();
-
-  // Incumbent: the clairvoyant portfolio (ΔLRU-EDF, greedy/lazy variants,
-  // static partition) replayed at m resources — a certified upper bound on
-  // OPT, so pruning at `g + h > incumbent` (strictly above) can never prune
-  // every optimal path, and the final layer is provably nonempty.
-  incumbent_ = ClairvoyantCost(instance_, m_, options_.cost_model).total_cost;
-  result.upper_bound = incumbent_;
-
-  const size_t threads =
-      options_.pool == nullptr ? 0 : options_.pool->thread_count();
-
-  std::vector<PackedLayer> history;  // populated only when reconstructing
-  PackedLayer cur;
-  MakeInitialLayer(cur);
-
-  obs::LogHistogram layer_widths;
-  std::vector<ExpandCtx> chunks;
-  std::vector<NodeStore> shard_out(kNumShards);
-  PackedLayer next;  // ping-pongs with cur so layer buffers are reused
-  bool exhausted = false;
-
-  for (Round k = 0; k < horizon_; ++k) {
-    const size_t width = cur.nodes.size();
-    layer_widths.Record(width);
-    result.max_layer_width = std::max<uint64_t>(result.max_layer_width, width);
-    if (result.states_expanded + width > options_.max_states) {
-      exhausted = true;
-      break;
-    }
-    result.states_expanded += width;
-
-    // Chunked expansion: fixed ranges; the chunk count only affects work
-    // partitioning, never the merged layer (the intern order is a total
-    // order on (cost, parent)).
-    const size_t num_chunks = std::clamp<size_t>(
-        width / 64, 1, std::max<size_t>(1, 4 * (threads + 1)));
-    chunks.resize(num_chunks);
-    ForIndices(static_cast<int64_t>(num_chunks), [&](int64_t i) {
-      const size_t lo = width * static_cast<size_t>(i) / num_chunks;
-      const size_t hi = width * (static_cast<size_t>(i) + 1) / num_chunks;
-      ExpandChunk(cur, lo, hi, k, chunks[static_cast<size_t>(i)]);
-    });
-    for (const ExpandCtx& ctx : chunks) {
-      result.states_generated += ctx.generated;
-      result.pruned_bound += ctx.pruned;
-    }
-
-    // Sharded min-cost merge + canonical sort + dominance, then one
-    // contiguous next layer in shard order.
-    std::array<uint64_t, kNumShards> dominated{};
-    ForIndices(kNumShards, [&](int64_t s) {
-      dominated[static_cast<size_t>(s)] =
-          MergeShard(chunks, static_cast<uint32_t>(s),
-                     shard_out[static_cast<size_t>(s)]);
-    });
-    for (uint64_t d : dominated) result.pruned_dominated += d;
-
-    size_t total_nodes = 0, total_words = 0;
-    std::array<size_t, kNumShards> node_base{}, word_base{};
-    for (uint32_t s = 0; s < kNumShards; ++s) {
-      node_base[s] = total_nodes;
-      word_base[s] = total_words;
-      total_nodes += shard_out[s].nodes.size();
-      for (const Node& n : shard_out[s].nodes) total_words += n.len;
-    }
-    RRS_CHECK_GT(total_nodes, 0u) << "empty layer despite admissible pruning";
-
-    next.arena.resize(total_words);
-    next.nodes.resize(total_nodes);
-    ForIndices(kNumShards, [&](int64_t si) {
-      const uint32_t s = static_cast<uint32_t>(si);
-      size_t word = word_base[s];
-      size_t slot = node_base[s];
-      for (const Node& n : shard_out[s].nodes) {
-        Node copy = n;
-        copy.offset = static_cast<uint32_t>(word);
-        std::memcpy(next.arena.data() + word, shard_out[s].span(n),
-                    n.len * sizeof(uint32_t));
-        word += n.len;
-        next.nodes[slot++] = copy;
-      }
-    });
-
-    if (options_.reconstruct_schedule) {
-      history.push_back(std::move(cur));
-      cur = std::move(next);
-      next = PackedLayer{};
-    } else {
-      std::swap(cur, next);  // keep both buffers alive for reuse
-    }
-  }
-
-  if (!exhausted) {
-    layer_widths.Record(cur.nodes.size());
-    result.max_layer_width =
-        std::max<uint64_t>(result.max_layer_width, cur.nodes.size());
-  }
-
-  if (exhausted) {
-    // Certified bracket: every completion passes through (a dominating
-    // surrogate of) a frontier state, so the minimum admissible frontier
-    // bound lower-bounds OPT; the incumbent upper-bounds it.
-    const size_t width = cur.nodes.size();
-    std::vector<uint64_t> chunk_min(
-        std::max<size_t>(1, std::min<size_t>(width, 4 * (threads + 1))),
-        ~uint64_t{0});
-    const size_t num_chunks = chunk_min.size();
-    ForIndices(static_cast<int64_t>(num_chunks), [&](int64_t i) {
-      const size_t lo = width * static_cast<size_t>(i) / num_chunks;
-      const size_t hi = width * (static_cast<size_t>(i) + 1) / num_chunks;
-      uint64_t best = ~uint64_t{0};
-      for (size_t j = lo; j < hi; ++j) {
-        const Node& n = cur.nodes[j];
-        best = std::min(best, n.cost + Heuristic(cur.span(n)));
-      }
-      chunk_min[static_cast<size_t>(i)] = best;
-    });
-    uint64_t frontier = ~uint64_t{0};
-    for (uint64_t v : chunk_min) frontier = std::min(frontier, v);
-    result.exact = false;
-    result.lower_bound = std::max(
-        std::min(frontier, incumbent_),
-        LowerBound(instance_, m_, options_.cost_model));
-    result.total_cost = result.upper_bound;
-  } else {
-    uint64_t best = ~uint64_t{0};
-    uint32_t best_index = kNoIndex;
-    for (uint32_t i = 0; i < cur.nodes.size(); ++i) {
-      if (cur.nodes[i].cost < best) {
-        best = cur.nodes[i].cost;
-        best_index = i;
-      }
-    }
-    RRS_CHECK(best_index != kNoIndex);
-    result.exact = true;
-    result.total_cost = best;
-    result.lower_bound = best;
-    result.upper_bound = best;
-
-    if (options_.reconstruct_schedule) {
-      // Backtrack the per-round configurations of the best path — each
-      // layer-(k+1) state's config multiset is the configuration used during
-      // round k — then replay them against the instance with real job ids.
-      history.push_back(std::move(cur));
-      std::vector<std::vector<uint32_t>> configs(
-          static_cast<size_t>(horizon_));
-      uint32_t idx = best_index;
-      for (Round k = horizon_; k-- > 0;) {
-        const PackedLayer& layer = history[static_cast<size_t>(k) + 1];
-        const Node& n = layer.nodes[idx];
-        const uint32_t* span = layer.span(n);
-        configs[static_cast<size_t>(k)].assign(span, span + m_);
-        RRS_CHECK(n.parent != kNoIndex || k == 0)
-            << "broken parent chain at round " << k;
-        idx = n.parent;
-      }
-      result.schedule = ReplayConfigs(instance_, m_, black_, configs);
-    }
-  }
-
-  if (obs::Scope* scope = obs::EffectiveScope(options_.obs_scope)) {
-    const std::pair<std::string_view, uint64_t> counters[] = {
-        {"offline.solves", 1},
-        {"offline.solves_exact", result.exact ? 1u : 0u},
-        {"offline.states_expanded", result.states_expanded},
-        {"offline.states_generated", result.states_generated},
-        {"offline.pruned_bound", result.pruned_bound},
-        {"offline.pruned_dominated", result.pruned_dominated},
-    };
-    scope->AbsorbCounters(counters);
-    scope->AbsorbHistogram("offline.layer_width", layer_widths);
-  }
-  return result;
-}
-
 }  // namespace
 
 OptimalResult SolveOptimal(const Instance& instance,
                            const OptimalOptions& options) {
   RRS_CHECK_GE(options.num_resources, 1u);
-  Solver solver(instance, options);
-  return solver.Run();
+  const uint32_t m = options.num_resources;
+  const uint32_t black = static_cast<uint32_t>(instance.num_colors());
+  const Round horizon = instance.horizon();
+  OptimalResult result;
+
+  if (instance.num_jobs() == 0) {
+    result.exact = true;
+    if (options.reconstruct_schedule) result.schedule = Schedule(m, 1);
+    return result;
+  }
+
+  // Incumbent: the clairvoyant portfolio (ΔLRU-EDF, greedy/lazy variants,
+  // static partition) replayed at m resources — a certified upper bound on
+  // OPT, so pruning at `g + h > incumbent` (strictly above) can never prune
+  // every optimal path, and the final layer is provably nonempty.
+  const uint64_t incumbent =
+      ClairvoyantCost(instance, m, options.cost_model).total_cost;
+  result.upper_bound = incumbent;
+
+  const ExactModel model(instance, m);
+  detail::LayeredSearch<ExactModel> search(model, options, black, horizon,
+                                           incumbent,
+                                           options.reconstruct_schedule);
+  result.exact = search.Run();
+  search.Report(result);
+
+  if (!result.exact) {
+    // Certified bracket: the frontier bound below, the incumbent above.
+    result.lower_bound =
+        std::max(std::min(search.FrontierBound(), incumbent),
+                 LowerBound(instance, m, options.cost_model));
+    result.total_cost = result.upper_bound;
+  } else {
+    const auto& last = search.last().nodes;
+    uint32_t best_index = 0;
+    for (uint32_t i = 1; i < last.size(); ++i) {
+      if (last[i].payload.cost < last[best_index].payload.cost) best_index = i;
+    }
+    result.total_cost = last[best_index].payload.cost;
+    result.lower_bound = result.total_cost;
+    result.upper_bound = result.total_cost;
+
+    if (options.reconstruct_schedule) {
+      // Backtrack the per-round configurations of the best path — each
+      // layer-(k+1) state's config multiset is the configuration used during
+      // round k — then replay them against the instance with real job ids.
+      std::vector<std::vector<uint32_t>> configs(static_cast<size_t>(horizon));
+      uint32_t idx = best_index;
+      for (Round k = horizon; k-- > 0;) {
+        const auto& layer = search.layer(k + 1);
+        const auto& n = layer.nodes[idx];
+        const uint32_t* span = layer.span(n);
+        configs[static_cast<size_t>(k)].assign(span, span + m);
+        RRS_CHECK(n.payload.parent != detail::kNoIndex || k == 0)
+            << "broken parent chain at round " << k;
+        idx = n.payload.parent;
+      }
+      result.schedule = ReplayConfigs(instance, m, black, configs);
+    }
+  }
+
+  search.Absorb(options.obs_scope, "offline.", result.exact);
+  return result;
 }
 
 }  // namespace offline

@@ -43,7 +43,9 @@
 // supplied ThreadPool, then merged by min-cost reduction into config-sharded
 // open-addressing tables and canonically sorted — no locks on the hot path,
 // and results (costs, bracket, expansion counts, reconstructed schedule) are
-// bit-identical for every thread count, including pool == nullptr.
+// bit-identical for every thread count, including pool == nullptr. The
+// search is offline/layered_search.h, shared with offline::SolveRobust; this
+// solver supplies the concrete state model.
 //
 // Complexity is exponential; the solver enforces an expansion budget checked
 // at layer granularity and degrades gracefully beyond it: instead of failing,
@@ -91,8 +93,8 @@ struct OptimalOptions {
   // prune counts) and the offline.layer_width histogram. Falls back to the
   // global scope; null disables.
   obs::Scope* obs_scope = nullptr;
-  // Testing/ablation knobs; both default on. Disabling prune_bound also
-  // skips the incumbent replay (pure layered DP + dominance).
+  // Testing/ablation knobs; both default on. The incumbent replay always
+  // runs (the exhaustion bracket needs it); these only gate the pruning.
   bool prune_bound = true;
   bool prune_dominance = true;
 };

@@ -1,17 +1,12 @@
 #include "offline/robust_optimal.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/scope.h"
 #include "offline/clairvoyant.h"
 #include "offline/interval_state.h"
+#include "offline/layered_search.h"
 #include "offline/lower_bound.h"
-#include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 #include "util/check.h"
 #include "workload/uncertain.h"
 
@@ -20,363 +15,63 @@ namespace offline {
 
 namespace {
 
-constexpr uint32_t kNoIndex = 0xffffffffu;
-// Same sharding/scan constants as optimal.cpp: fixed shard count keeps the
-// canonical layer order identical for every thread count, and the capped
-// quadratic dominance scan stays linear-ish per config group.
-constexpr uint32_t kNumShards = 32;
-constexpr uint32_t kDominanceScanCap = 32;
-
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
-uint64_t HashSpan(const uint32_t* p, uint32_t n) {
-  uint64_t h = 1469598103934665603ULL ^ (uint64_t{n} << 32);
-  for (uint32_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
-}
-
-uint32_t SortedOverlap(const uint32_t* a, const uint32_t* b, uint32_t m) {
-  uint32_t overlap = 0;
-  uint32_t i = 0, j = 0;
-  while (i < m && j < m) {
-    if (a[i] == b[j]) {
-      ++overlap;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return overlap;
-}
-
-// One interval state: a packed span (see offline/interval_state.h) plus the
-// accumulated cost interval. No parent link: the robust solver never
-// reconstructs schedules, and component-wise min interning (below) has no
-// path identity to preserve.
-struct Node {
-  uint64_t hash = 0;
-  uint64_t cost_lo = 0;
-  uint64_t cost_hi = 0;
-  uint32_t offset = 0;
-  uint32_t len = 0;
-};
-
-// Arena + node list + open-addressing intern table, single-writer, mirroring
-// optimal.cpp's NodeStore.
-struct NodeStore {
-  std::vector<uint32_t> arena;
-  std::vector<Node> nodes;
-  std::vector<uint32_t> slots;
-  uint64_t mask = 0;
-
-  const uint32_t* span(const Node& n) const { return arena.data() + n.offset; }
-
-  void Reset(size_t expected) {
-    arena.clear();
-    nodes.clear();
-    size_t cap = 64;
-    while (cap < expected * 2) cap <<= 1;
-    slots.assign(cap, kNoIndex);
-    mask = cap - 1;
-  }
-
-  void Rehash() {
-    size_t cap = slots.size() * 2;
-    slots.assign(cap, kNoIndex);
-    mask = cap - 1;
-    for (uint32_t i = 0; i < nodes.size(); ++i) {
-      uint64_t pos = nodes[i].hash & mask;
-      while (slots[pos] != kNoIndex) pos = (pos + 1) & mask;
-      slots[pos] = i;
-    }
-  }
-
-  // Interns (span, cost interval), keeping the component-wise minimum of
-  // both cost sides. Each side's minimum is achieved by some real path into
-  // the state, so both bracket legs stay certified, and component-wise min
-  // is commutative/associative — the surviving pair is independent of
-  // insertion order, the root of thread-count determinism.
-  void Intern(uint64_t hash, const uint32_t* sp, uint32_t len, uint64_t cost_lo,
-              uint64_t cost_hi) {
-    uint64_t pos = hash & mask;
-    for (;;) {
-      uint32_t idx = slots[pos];
-      if (idx == kNoIndex) break;
-      Node& n = nodes[idx];
-      if (n.hash == hash && n.len == len &&
-          std::memcmp(arena.data() + n.offset, sp, len * sizeof(uint32_t)) ==
-              0) {
-        n.cost_lo = std::min(n.cost_lo, cost_lo);
-        n.cost_hi = std::min(n.cost_hi, cost_hi);
-        return;
-      }
-      pos = (pos + 1) & mask;
-    }
-    Node n;
-    n.hash = hash;
-    n.cost_lo = cost_lo;
-    n.cost_hi = cost_hi;
-    n.offset = static_cast<uint32_t>(arena.size());
-    n.len = len;
-    arena.insert(arena.end(), sp, sp + len);
-    slots[pos] = static_cast<uint32_t>(nodes.size());
-    nodes.push_back(n);
-    if (nodes.size() * 4 >= slots.size() * 3) Rehash();
-  }
-};
-
-struct PackedLayer {
-  std::vector<uint32_t> arena;
-  std::vector<Node> nodes;
-
-  const uint32_t* span(const Node& n) const { return arena.data() + n.offset; }
-};
-
-struct ExpandCtx {
-  NodeStore store;
-  std::array<std::vector<uint32_t>, kNumShards> by_shard;
-  uint64_t generated = 0;
-  uint64_t pruned = 0;
-
-  std::vector<uint32_t> col_off;
-  std::vector<uint32_t> col_len;
-  std::vector<uint32_t> alphabet;
-  std::vector<uint8_t> in_alphabet;
-  std::vector<uint32_t> cfg;
-  std::vector<uint32_t> exec;
-  std::vector<uint32_t> child;
-};
-
-class RobustSolver {
+// Interval states for the layered search (layout in
+// offline/interval_state.h): per color, (rel, lo, hi) buckets bracketing
+// the pending count between the forced and the pessimistic envelope, and
+// the accumulated cost interval. No parent link: the robust solver never
+// reconstructs schedules, and component-wise min merging has no path
+// identity to preserve.
+class IntervalModel {
  public:
-  RobustSolver(const workload::UncertainInstance& set,
-               const RobustOptions& options)
-      : set_(set),
-        options_(options),
-        m_(options.num_resources),
-        num_colors_(static_cast<uint32_t>(set.num_colors())),
-        black_(num_colors_),
-        delta_(options.cost_model.delta),
-        horizon_(set.horizon()) {}
-
-  RobustResult Run();
-
- private:
-  void BuildArrivalEnvelopes();
-  void MakeInitialLayer(PackedLayer& layer) const;
-  uint64_t Heuristic(const uint32_t* span) const;
-  void ExpandChunk(const PackedLayer& cur, size_t lo, size_t hi, Round k,
-                   ExpandCtx& ctx) const;
-  void EmitChildren(const PackedLayer& cur, uint32_t parent_index, Round k,
-                    ExpandCtx& ctx) const;
-  void EnumerateConfigs(const PackedLayer& cur, uint32_t parent_index, Round k,
-                        size_t alpha_from, ExpandCtx& ctx) const;
-  void ProcessConfig(const PackedLayer& cur, uint32_t parent_index, Round k,
-                     ExpandCtx& ctx) const;
-  uint64_t MergeShard(const std::vector<ExpandCtx>& chunks, uint32_t shard,
-                      NodeStore& out) const;
-  template <typename Fn>
-  void ForIndices(int64_t n, Fn&& fn) const {
-    if (options_.pool == nullptr) {
-      for (int64_t i = 0; i < n; ++i) fn(i);
-    } else {
-      ParallelFor(*options_.pool, 0, n, fn);
-    }
-  }
-
-  const workload::UncertainInstance& set_;
-  const RobustOptions& options_;
-  const uint32_t m_;
-  const uint32_t num_colors_;
-  const uint32_t black_;
-  const uint64_t delta_;
-  const Round horizon_;
+  struct Payload {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+  };
+  static constexpr uint32_t kStride = 3;
 
   // Dense per-round per-color arrival envelopes: `lo` counts only forced
   // (zero-width-window) jobs pinned to the round; `hi` counts every job
   // whose window covers the round (the pessimistic duplication).
-  std::vector<std::vector<uint32_t>> arrivals_lo_;
-  std::vector<std::vector<uint32_t>> arrivals_hi_;
-  uint64_t incumbent_hi_ = ~uint64_t{0};
-};
-
-void RobustSolver::BuildArrivalEnvelopes() {
-  arrivals_lo_.assign(static_cast<size_t>(horizon_) + 1,
-                      std::vector<uint32_t>(num_colors_, 0));
-  arrivals_hi_.assign(static_cast<size_t>(horizon_) + 1,
-                      std::vector<uint32_t>(num_colors_, 0));
-  for (const workload::WindowedJob& job : set_.jobs()) {
-    if (job.release_lo == job.release_hi) {
-      ++arrivals_lo_[static_cast<size_t>(job.release_lo)][job.color];
-    }
-    for (Round r = job.release_lo; r <= job.release_hi; ++r) {
-      ++arrivals_hi_[static_cast<size_t>(r)][job.color];
-    }
-  }
-}
-
-void RobustSolver::MakeInitialLayer(PackedLayer& layer) const {
-  std::vector<uint32_t> span(m_, black_);
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const uint32_t hi = arrivals_hi_[0][c];
-    if (hi == 0) {
-      span.push_back(0);
-    } else {
-      span.push_back(1);
-      span.push_back(static_cast<uint32_t>(set_.delay_bound(c)));
-      span.push_back(arrivals_lo_[0][c]);
-      span.push_back(hi);
-    }
-  }
-  Node root;
-  root.hash = HashSpan(span.data(), static_cast<uint32_t>(span.size()));
-  root.cost_lo = 0;
-  root.cost_hi = 0;
-  root.offset = 0;
-  root.len = static_cast<uint32_t>(span.size());
-  layer.arena = std::move(span);
-  layer.nodes = {root};
-}
-
-// Admissible completion bound for the *optimistic* envelope: the concrete
-// solver's per-state heuristic evaluated on the lo counts. Along any config
-// path, cost_lo + Heuristic never exceeds the path's cost on the forced
-// sub-instance — which never exceeds its cost on any concrete trace — so
-// pruning at cost_lo + Heuristic strictly above the pessimistic incumbent
-// can only remove paths that are worse than the incumbent on every trace.
-// (The pessimistic-envelope Hall leg must NOT prune here: it can exceed a
-// trace-optimal path's true cost and would break the lower bracket.)
-uint64_t RobustSolver::Heuristic(const uint32_t* span) const {
-  uint64_t h = 0;
-  size_t pos = m_;
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const uint32_t len = span[pos++];
-    if (len == 0) continue;
-    const uint32_t* rle = span + pos;
-    pos += 3 * static_cast<size_t>(len);
-    uint64_t pend_lo = 0;
-    for (uint32_t i = 0; i < len; ++i) pend_lo += rle[3 * i + 1];
-    const uint64_t w = set_.drop_cost(c);
-    uint64_t leg = CapacityRelaxedDropsEnvelope(
-                       {rle, 3 * static_cast<size_t>(len)}, m_,
-                       /*pessimistic=*/false) *
-                   w;
-    bool in_config = false;
-    for (uint32_t r = 0; r < m_; ++r) {
-      if (span[r] == c) {
-        in_config = true;
-        break;
+  IntervalModel(const workload::UncertainInstance& set, uint32_t m)
+      : set_(set),
+        m_(m),
+        num_colors_(static_cast<uint32_t>(set.num_colors())),
+        arrivals_lo_((static_cast<size_t>(set.horizon()) + 1) * num_colors_,
+                     0),
+        arrivals_hi_(arrivals_lo_.size(), 0) {
+    for (const workload::WindowedJob& job : set.jobs()) {
+      if (job.release_lo == job.release_hi) {
+        ++arrivals_lo_[static_cast<size_t>(job.release_lo) * num_colors_ +
+                       job.color];
+      }
+      for (Round r = job.release_lo; r <= job.release_hi; ++r) {
+        ++arrivals_hi_[static_cast<size_t>(r) * num_colors_ + job.color];
       }
     }
-    if (!in_config) leg = std::min(pend_lo * w, delta_ + leg);
-    h += leg;
-  }
-  return h;
-}
-
-void RobustSolver::EmitChildren(const PackedLayer& cur, uint32_t parent_index,
-                                Round k, ExpandCtx& ctx) const {
-  const Node& node = cur.nodes[parent_index];
-  const uint32_t* span = cur.span(node);
-
-  size_t pos = m_;
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const uint32_t len = span[pos++];
-    ctx.col_len[c] = len;
-    ctx.col_off[c] = static_cast<uint32_t>(pos);
-    pos += 3 * static_cast<size_t>(len);
   }
 
-  // Alphabet: current colors ∪ colors with any pessimistic pending (every
-  // stored bucket has hi >= 1). Reconfiguring to a color no trace can have
-  // pending is dominated on every trace, exactly as in the concrete solver.
-  ctx.alphabet.clear();
-  for (uint32_t r = 0; r < m_; ++r) {
-    const uint32_t c = span[r];
-    if (!ctx.in_alphabet[c]) {
-      ctx.in_alphabet[c] = 1;
-      ctx.alphabet.push_back(c);
-    }
-  }
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    if (ctx.col_len[c] != 0 && !ctx.in_alphabet[c]) {
-      ctx.in_alphabet[c] = 1;
-      ctx.alphabet.push_back(c);
-    }
-  }
-  std::sort(ctx.alphabet.begin(), ctx.alphabet.end());
-  for (uint32_t c : ctx.alphabet) ctx.in_alphabet[c] = 0;
-
-  ctx.cfg.clear();
-  EnumerateConfigs(cur, parent_index, k, 0, ctx);
-}
-
-void RobustSolver::EnumerateConfigs(const PackedLayer& cur,
-                                    uint32_t parent_index, Round k,
-                                    size_t alpha_from, ExpandCtx& ctx) const {
-  if (ctx.cfg.size() == m_) {
-    ProcessConfig(cur, parent_index, k, ctx);
-    return;
-  }
-  for (size_t i = alpha_from; i < ctx.alphabet.size(); ++i) {
-    ctx.cfg.push_back(ctx.alphabet[i]);
-    EnumerateConfigs(cur, parent_index, k, i, ctx);
-    ctx.cfg.pop_back();
-  }
-}
-
-void RobustSolver::ProcessConfig(const PackedLayer& cur, uint32_t parent_index,
-                                 Round k, ExpandCtx& ctx) const {
-  const Node& node = cur.nodes[parent_index];
-  const uint32_t* span = cur.span(node);
-  const std::vector<uint32_t>& next_lo = arrivals_lo_[static_cast<size_t>(k) + 1];
-  const std::vector<uint32_t>& next_hi = arrivals_hi_[static_cast<size_t>(k) + 1];
+  uint64_t drop_cost(uint32_t c) const { return set_.drop_cost(c); }
 
   // Reconfiguration cost is trace-independent: both envelope legs pay it.
-  const uint64_t reconfig =
-      delta_ * (m_ - SortedOverlap(span, ctx.cfg.data(), m_));
-  uint64_t cost_lo = node.cost_lo + reconfig;
-  uint64_t cost_hi = node.cost_hi + reconfig;
-
-  for (uint32_t i = 0; i < m_;) {
-    const uint32_t c = ctx.cfg[i];
-    uint32_t j = i;
-    while (j < m_ && ctx.cfg[j] == c) ++j;
-    if (c != black_) ctx.exec[c] = j - i;
-    i = j;
+  static Payload Reconfigure(const Payload& from, uint32_t, uint64_t cost) {
+    return {from.lo + cost, from.hi + cost};
   }
 
   // Both envelopes execute earliest-deadline-first with the same resource
-  // counts but consume their own counts; the remaining-execution budgets are
+  // count but consume their own counts; the remaining-execution budgets are
   // tracked independently (the lo side runs out of work earlier). Bucket
   // remainders at rel == 1 drop on each side at the color's weight.
-  ctx.child.clear();
-  ctx.child.insert(ctx.child.end(), ctx.cfg.begin(), ctx.cfg.end());
-  for (uint32_t c = 0; c < num_colors_; ++c) {
-    const size_t len_pos = ctx.child.size();
-    ctx.child.push_back(0);
-    uint32_t out_len = 0;
-    uint32_t remaining_lo = ctx.exec[c];
-    uint32_t remaining_hi = ctx.exec[c];
-    const uint32_t* rle = span + ctx.col_off[c];
+  uint32_t Advance(uint32_t c, const uint32_t* buckets, uint32_t len,
+                   uint32_t exec, Round arrive, Payload& p,
+                   std::vector<uint32_t>& child) const {
     const uint64_t w = set_.drop_cost(c);
-    for (uint32_t i = 0; i < ctx.col_len[c]; ++i) {
-      const uint32_t rel = rle[3 * i];
-      uint32_t lo = rle[3 * i + 1];
-      uint32_t hi = rle[3 * i + 2];
+    uint32_t remaining_lo = exec;
+    uint32_t remaining_hi = exec;
+    uint32_t out = 0;
+    for (uint32_t i = 0; i < len; ++i) {
+      const uint32_t rel = buckets[3 * i];
+      uint32_t lo = buckets[3 * i + 1];
+      uint32_t hi = buckets[3 * i + 2];
       const uint32_t take_lo = std::min(remaining_lo, lo);
       remaining_lo -= take_lo;
       lo -= take_lo;
@@ -385,155 +80,79 @@ void RobustSolver::ProcessConfig(const PackedLayer& cur, uint32_t parent_index,
       hi -= take_hi;
       if (hi == 0) continue;  // lo <= hi is preserved, so lo == 0 too
       if (rel == 1) {
-        cost_lo += lo * w;
-        cost_hi += hi * w;
+        p.lo += lo * w;
+        p.hi += hi * w;
         continue;
       }
-      ctx.child.push_back(rel - 1);
-      ctx.child.push_back(lo);
-      ctx.child.push_back(hi);
-      ++out_len;
+      child.push_back(rel - 1);
+      child.push_back(lo);
+      child.push_back(hi);
+      ++out;
     }
-    const uint32_t arriving_hi = next_hi[c];
-    if (arriving_hi != 0) {
-      ctx.child.push_back(static_cast<uint32_t>(set_.delay_bound(c)));
-      ctx.child.push_back(next_lo[c]);
-      ctx.child.push_back(arriving_hi);
-      ++out_len;
+    const size_t at = static_cast<size_t>(arrive) * num_colors_ + c;
+    if (arrivals_hi_[at] != 0) {
+      child.push_back(static_cast<uint32_t>(set_.delay_bound(c)));
+      child.push_back(arrivals_lo_[at]);
+      child.push_back(arrivals_hi_[at]);
+      ++out;
     }
-    ctx.child[len_pos] = out_len;
-  }
-  for (uint32_t c : ctx.cfg) {
-    if (c != black_) ctx.exec[c] = 0;
+    return out;
   }
 
-  ++ctx.generated;
-  if (options_.prune_bound &&
-      cost_lo + Heuristic(ctx.child.data()) > incumbent_hi_) {
-    ++ctx.pruned;
-    return;
-  }
-  const uint32_t len = static_cast<uint32_t>(ctx.child.size());
-  ctx.store.Intern(HashSpan(ctx.child.data(), len), ctx.child.data(), len,
-                   cost_lo, cost_hi);
-}
+  // The bound adds to the lo side: the search's heuristic reads the lo
+  // counts, which makes it admissible for the *optimistic* envelope. Along
+  // any config path, lo + heuristic never exceeds the path's cost on the
+  // forced sub-instance — which never exceeds its cost on any concrete
+  // trace — so pruning at that sum strictly above the pessimistic incumbent
+  // only removes paths worse than the incumbent on every trace. (A
+  // pessimistic-envelope Hall leg must NOT prune here: it can exceed a
+  // trace-optimal path's true cost and would break the lower bracket.)
+  static uint64_t Cost(const Payload& p) { return p.lo; }
 
-void RobustSolver::ExpandChunk(const PackedLayer& cur, size_t lo, size_t hi,
-                               Round k, ExpandCtx& ctx) const {
-  ctx.store.Reset((hi - lo) * 4);
-  for (auto& list : ctx.by_shard) list.clear();
-  ctx.generated = 0;
-  ctx.pruned = 0;
-  ctx.col_off.resize(num_colors_);
-  ctx.col_len.resize(num_colors_);
-  ctx.in_alphabet.assign(num_colors_ + 1, 0);
-  ctx.exec.assign(num_colors_, 0);
-
-  for (size_t i = lo; i < hi; ++i) {
-    EmitChildren(cur, static_cast<uint32_t>(i), k, ctx);
-  }
-  for (uint32_t i = 0; i < ctx.store.nodes.size(); ++i) {
-    const uint64_t h = HashSpan(ctx.store.span(ctx.store.nodes[i]), m_);
-    ctx.by_shard[h >> 59].push_back(i);
-  }
-}
-
-uint64_t RobustSolver::MergeShard(const std::vector<ExpandCtx>& chunks,
-                                  uint32_t shard, NodeStore& out) const {
-  size_t expected = 0;
-  for (const ExpandCtx& ctx : chunks) expected += ctx.by_shard[shard].size();
-  if (expected == 0) {
-    out.arena.clear();
-    out.nodes.clear();
-    return 0;
-  }
-  out.Reset(expected + 1);
-  for (const ExpandCtx& ctx : chunks) {
-    for (uint32_t idx : ctx.by_shard[shard]) {
-      const Node& n = ctx.store.nodes[idx];
-      out.Intern(n.hash, ctx.store.span(n), n.len, n.cost_lo, n.cost_hi);
-    }
+  // Component-wise min of both cost sides. Each side's minimum is achieved
+  // by some real path into the state, so both bracket legs stay certified,
+  // and component-wise min is commutative and associative.
+  static void Merge(Payload& kept, const Payload& other) {
+    kept.lo = std::min(kept.lo, other.lo);
+    kept.hi = std::min(kept.hi, other.hi);
   }
 
-  std::sort(out.nodes.begin(), out.nodes.end(),
-            [&](const Node& a, const Node& b) {
-              return std::lexicographical_compare(
-                  out.span(a), out.span(a) + a.len, out.span(b),
-                  out.span(b) + b.len);
-            });
-
-  if (!options_.prune_dominance || out.nodes.size() < 2) return 0;
-
-  // Config groups are contiguous after the sort. A dominator needs
-  // cost_lo <= and cost_hi >= its victim's, so ordering each group by
-  // (cost_lo ascending, cost_hi descending) puts every possible dominator
-  // before its victims (stable: the canonical sort breaks ties) and the
-  // earlier-survivor scan of the concrete solver carries over. Mutual
+  // A dominator needs lo <= and hi >= its victim's, so (lo ascending, hi
+  // descending) puts every possible dominator before its victims. Mutual
   // containment would force identical spans — impossible after interning —
   // so a kill chain always ends at a live container (containment is
   // transitive), preserving both bracket sides.
-  std::vector<Node>& nodes = out.nodes;
-  std::vector<uint8_t> dead(nodes.size(), 0);
-  std::vector<uint32_t> group;
-  uint64_t removed = 0;
-  auto same_config = [&](const Node& a, const Node& b) {
-    return std::memcmp(out.span(a), out.span(b), m_ * sizeof(uint32_t)) == 0;
-  };
-
-  size_t g0 = 0;
-  while (g0 < nodes.size()) {
-    size_t g1 = g0 + 1;
-    while (g1 < nodes.size() && same_config(nodes[g0], nodes[g1])) ++g1;
-    if (g1 - g0 >= 2) {
-      group.resize(g1 - g0);
-      for (size_t i = 0; i < group.size(); ++i) {
-        group[i] = static_cast<uint32_t>(g0 + i);
-      }
-      std::stable_sort(group.begin(), group.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         if (nodes[a].cost_lo != nodes[b].cost_lo) {
-                           return nodes[a].cost_lo < nodes[b].cost_lo;
-                         }
-                         return nodes[a].cost_hi > nodes[b].cost_hi;
-                       });
-      for (size_t j = 1; j < group.size(); ++j) {
-        const Node& b = nodes[group[j]];
-        uint32_t scanned = 0;
-        for (size_t i = 0; i < j && scanned < kDominanceScanCap; ++i) {
-          if (dead[group[i]]) continue;
-          ++scanned;
-          const Node& a = nodes[group[i]];
-          if (IntervalStateDominates({out.span(a), a.len}, a.cost_lo,
-                                     a.cost_hi, {out.span(b), b.len},
-                                     b.cost_lo, b.cost_hi, m_, num_colors_)) {
-            dead[group[j]] = 1;
-            ++removed;
-            break;
-          }
-        }
-      }
-    }
-    g0 = g1;
+  static bool GroupBefore(const Payload& a, const Payload& b) {
+    if (a.lo != b.lo) return a.lo < b.lo;
+    return a.hi > b.hi;
   }
-  if (removed != 0) {
-    size_t w = 0;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (!dead[i]) nodes[w++] = nodes[i];
-    }
-    nodes.resize(w);
-  }
-  return removed;
-}
 
-RobustResult RobustSolver::Run() {
+  bool Dominates(const uint32_t* a, uint32_t alen, const Payload& pa,
+                 const uint32_t* b, uint32_t blen, const Payload& pb) const {
+    return IntervalStateDominates({a, alen}, pa.lo, pa.hi, {b, blen}, pb.lo,
+                                  pb.hi, m_, num_colors_);
+  }
+
+ private:
+  const workload::UncertainInstance& set_;
+  const uint32_t m_;
+  const uint32_t num_colors_;
+  std::vector<uint32_t> arrivals_lo_;  // [round * num_colors + color]
+  std::vector<uint32_t> arrivals_hi_;
+};
+
+}  // namespace
+
+RobustResult SolveRobust(const workload::UncertainInstance& set,
+                         const RobustOptions& options) {
+  RRS_CHECK_GE(options.num_resources, 1u);
+  const uint32_t m = options.num_resources;
   RobustResult result;
 
-  if (set_.num_jobs() == 0) {
+  if (set.num_jobs() == 0) {
     result.exact = true;
     return result;
   }
-
-  BuildArrivalEnvelopes();
 
   // Incumbent: the clairvoyant portfolio replayed against the pessimistic
   // envelope instance. Any schedule's cost on the pessimistic instance
@@ -541,157 +160,45 @@ RobustResult RobustSolver::Run() {
   // per-color sub-instance), so this is a certified robust upper bound, and
   // the pruned search's final layer is provably nonempty (the path that is
   // optimal for the pessimistic instance survives every prune).
-  const Instance pessimistic = set_.PessimisticInstance();
-  incumbent_hi_ =
-      ClairvoyantCost(pessimistic, m_, options_.cost_model).total_cost;
-  result.upper_bound = incumbent_hi_;
+  const uint64_t incumbent =
+      ClairvoyantCost(set.PessimisticInstance(), m, options.cost_model)
+          .total_cost;
 
-  const size_t threads =
-      options_.pool == nullptr ? 0 : options_.pool->thread_count();
+  const IntervalModel model(set, m);
+  detail::LayeredSearch<IntervalModel> search(
+      model, options, static_cast<uint32_t>(set.num_colors()), set.horizon(),
+      incumbent, /*keep_history=*/false);
+  result.exact = search.Run();
+  search.Report(result);
 
-  PackedLayer cur;
-  MakeInitialLayer(cur);
-
-  obs::LogHistogram layer_widths;
-  std::vector<ExpandCtx> chunks;
-  std::vector<NodeStore> shard_out(kNumShards);
-  PackedLayer next;
-  bool exhausted = false;
-
-  for (Round k = 0; k < horizon_; ++k) {
-    const size_t width = cur.nodes.size();
-    layer_widths.Record(width);
-    result.max_layer_width = std::max<uint64_t>(result.max_layer_width, width);
-    if (result.states_expanded + width > options_.max_states) {
-      exhausted = true;
-      break;
-    }
-    result.states_expanded += width;
-
-    const size_t num_chunks = std::clamp<size_t>(
-        width / 64, 1, std::max<size_t>(1, 4 * (threads + 1)));
-    chunks.resize(num_chunks);
-    ForIndices(static_cast<int64_t>(num_chunks), [&](int64_t i) {
-      const size_t lo = width * static_cast<size_t>(i) / num_chunks;
-      const size_t hi = width * (static_cast<size_t>(i) + 1) / num_chunks;
-      ExpandChunk(cur, lo, hi, k, chunks[static_cast<size_t>(i)]);
-    });
-    for (const ExpandCtx& ctx : chunks) {
-      result.states_generated += ctx.generated;
-      result.pruned_bound += ctx.pruned;
-    }
-
-    std::array<uint64_t, kNumShards> dominated{};
-    ForIndices(kNumShards, [&](int64_t s) {
-      dominated[static_cast<size_t>(s)] =
-          MergeShard(chunks, static_cast<uint32_t>(s),
-                     shard_out[static_cast<size_t>(s)]);
-    });
-    for (uint64_t d : dominated) result.pruned_dominated += d;
-
-    size_t total_nodes = 0, total_words = 0;
-    std::array<size_t, kNumShards> node_base{}, word_base{};
-    for (uint32_t s = 0; s < kNumShards; ++s) {
-      node_base[s] = total_nodes;
-      word_base[s] = total_words;
-      total_nodes += shard_out[s].nodes.size();
-      for (const Node& n : shard_out[s].nodes) total_words += n.len;
-    }
-    RRS_CHECK_GT(total_nodes, 0u) << "empty layer despite admissible pruning";
-
-    next.arena.resize(total_words);
-    next.nodes.resize(total_nodes);
-    ForIndices(kNumShards, [&](int64_t si) {
-      const uint32_t s = static_cast<uint32_t>(si);
-      size_t word = word_base[s];
-      size_t slot = node_base[s];
-      for (const Node& n : shard_out[s].nodes) {
-        Node copy = n;
-        copy.offset = static_cast<uint32_t>(word);
-        std::memcpy(next.arena.data() + word, shard_out[s].span(n),
-                    n.len * sizeof(uint32_t));
-        word += n.len;
-        next.nodes[slot++] = copy;
-      }
-    });
-    std::swap(cur, next);
-  }
-
-  if (!exhausted) {
-    layer_widths.Record(cur.nodes.size());
-    result.max_layer_width =
-        std::max<uint64_t>(result.max_layer_width, cur.nodes.size());
-  }
-
-  const uint64_t forced_floor =
-      RobustLowerBound(set_, m_, options_.cost_model);
-
-  if (exhausted) {
+  const uint64_t forced_floor = RobustLowerBound(set, m, options.cost_model);
+  if (!result.exact) {
     // Certified bracket: every trace's optimal path either reaches the
-    // frontier through (a container of) some node — whose cost_lo plus the
+    // frontier through (a container of) some node — whose lo plus the
     // admissible optimistic bound lower-bounds its cost — or was bound-
     // pruned, which certifies its cost exceeds the incumbent.
-    const size_t width = cur.nodes.size();
-    std::vector<uint64_t> chunk_min(
-        std::max<size_t>(1, std::min<size_t>(width, 4 * (threads + 1))),
-        ~uint64_t{0});
-    const size_t num_chunks = chunk_min.size();
-    ForIndices(static_cast<int64_t>(num_chunks), [&](int64_t i) {
-      const size_t lo = width * static_cast<size_t>(i) / num_chunks;
-      const size_t hi = width * (static_cast<size_t>(i) + 1) / num_chunks;
-      uint64_t best = ~uint64_t{0};
-      for (size_t j = lo; j < hi; ++j) {
-        const Node& n = cur.nodes[j];
-        best = std::min(best, n.cost_lo + Heuristic(cur.span(n)));
-      }
-      chunk_min[static_cast<size_t>(i)] = best;
-    });
-    uint64_t frontier = ~uint64_t{0};
-    for (uint64_t v : chunk_min) frontier = std::min(frontier, v);
-    result.exact = false;
     result.lower_bound =
-        std::max(std::min(frontier, incumbent_hi_), forced_floor);
-    result.upper_bound = incumbent_hi_;
+        std::max(std::min(search.FrontierBound(), incumbent), forced_floor);
+    result.upper_bound = incumbent;
   } else {
     uint64_t best_lo = ~uint64_t{0};
     uint64_t best_hi = ~uint64_t{0};
-    for (const Node& n : cur.nodes) {
-      best_lo = std::min(best_lo, n.cost_lo);
-      best_hi = std::min(best_hi, n.cost_hi);
+    for (const auto& n : search.last().nodes) {
+      best_lo = std::min(best_lo, n.payload.lo);
+      best_hi = std::min(best_hi, n.payload.hi);
     }
-    result.exact = true;
-    // Lower: the minimum final cost_lo is OPT of the forced sub-instance
+    // Lower: the minimum final lo is OPT of the forced sub-instance
     // restricted to surviving paths; bound-pruned paths certify their traces'
     // optima exceed the incumbent, hence the min. Upper: any single complete
-    // path's cost_hi bounds every trace's optimum from above, as does the
+    // path's hi bounds every trace's optimum from above, as does the
     // incumbent.
     result.lower_bound =
-        std::max(std::min(best_lo, incumbent_hi_), forced_floor);
-    result.upper_bound = std::min(best_hi, incumbent_hi_);
+        std::max(std::min(best_lo, incumbent), forced_floor);
+    result.upper_bound = std::min(best_hi, incumbent);
   }
 
-  if (obs::Scope* scope = obs::EffectiveScope(options_.obs_scope)) {
-    const std::pair<std::string_view, uint64_t> counters[] = {
-        {"offline.robust.solves", 1},
-        {"offline.robust.solves_exact", result.exact ? 1u : 0u},
-        {"offline.robust.states_expanded", result.states_expanded},
-        {"offline.robust.states_generated", result.states_generated},
-        {"offline.robust.pruned_bound", result.pruned_bound},
-        {"offline.robust.pruned_dominated", result.pruned_dominated},
-    };
-    scope->AbsorbCounters(counters);
-    scope->AbsorbHistogram("offline.robust.layer_width", layer_widths);
-  }
+  search.Absorb(options.obs_scope, "offline.robust.", result.exact);
   return result;
-}
-
-}  // namespace
-
-RobustResult SolveRobust(const workload::UncertainInstance& set,
-                         const RobustOptions& options) {
-  RRS_CHECK_GE(options.num_resources, 1u);
-  RobustSolver solver(set, options);
-  return solver.Run();
 }
 
 }  // namespace offline

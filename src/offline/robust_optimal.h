@@ -2,13 +2,13 @@
 // [lower, upper] brackets on OPT valid for *every* concrete trace obtainable
 // by pinning each job to one round of its arrival window.
 //
-// The search mirrors offline/optimal.cpp — packed arena-backed states,
-// layer-parallel chunked expansion, config-sharded merging, bit-identical
-// across thread counts — but each state is interval-valued (see
-// offline/interval_state.h): per-color RLE deadline profiles carry
-// [optimistic, pessimistic] pending bounds and the accumulated cost is an
-// interval [cost_lo, cost_hi]. The two envelopes evolve in lock-step under a
-// shared configuration choice:
+// It runs on the same layered search as offline/optimal.cpp
+// (offline/layered_search.h: packed arena-backed states, layer-parallel
+// chunked expansion, config-sharded merging, bit-identical across thread
+// counts) with an interval state model (see offline/interval_state.h):
+// per-color RLE deadline profiles carry [optimistic, pessimistic] pending
+// bounds and the accumulated cost is an interval [cost_lo, cost_hi]. The two
+// envelopes evolve in lock-step under a shared configuration choice:
 //
 //   - the lo side replays the *forced* sub-instance (zero-width jobs only),
 //     so along any config path, cost_lo <= that path's cost on every
@@ -28,9 +28,12 @@
 //     whose envelopes and cost interval are bracketed by a groupmate's is
 //     redundant for both sides.
 //
-// With zero-width windows both envelopes coincide and the search collapses
-// to the concrete solver's: the bracket equals [OPT, OPT] bit-exactly
-// (differential tests pin this against SolveOptimal on the full corpus).
+// With zero-width windows both envelopes coincide and the bracket equals
+// [OPT, OPT] bit-exactly (differential tests pin this against SolveOptimal on
+// the full corpus). The search itself does not collapse to the concrete one:
+// at lo == hi interval containment reduces to span identity, so dominance
+// never fires, and on the gate instance robust/w0/m2/4c/h48 expands 3,160
+// states where SolveOptimal's packed/m2/4c/h48 expands 1,751.
 #pragma once
 
 #include <cstdint>

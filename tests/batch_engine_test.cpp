@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/job_ring.h"
 #include "fleet/batch_engine.h"
 #include "fleet/fleet_runner.h"
 #include "parallel/thread_pool.h"
@@ -314,6 +316,58 @@ TEST(BatchSnapshot, ScalarSnapshotsRestoreIntoLanesAtATickCut) {
     ExpectSameRunResult(got, want[i],
                         "scalar→lane restore " + std::to_string(i));
   }
+}
+
+TEST(BatchSnapshotDeath, RestoreLaneRejectsOutOfRangeNonidleColor) {
+  // A checkpoint with a valid checksum whose nonidle color lies past the
+  // color table must die in RestoreLane, as it does in Engine::RestoreRun,
+  // not index past the per-color arrays on the next step.
+  std::vector<workload::ColorSpec> specs = {{1, 0.4}, {2, 0.5}, {4, 0.5}};
+  workload::PoissonOptions gen;
+  gen.rounds = 32;
+  gen.seed = 13;
+  const Instance instance = MakePoisson(specs, gen);
+  const EngineOptions options = BatchOptions();
+
+  Engine engine(instance, options);
+  auto policy = MakePolicy("greedy-edf");
+  engine.BeginRun(*policy);
+  engine.StepRounds(5);
+  snapshot::Writer w;
+  engine.SnapshotRun(w);
+  engine.AbortRun();
+
+  // [magic][version][tag][payload words][checksum], then the engine payload:
+  // colors, resources, round, resource colors, one ring per color, pending
+  // counts, and the nonidle list. Walk to the list's count word.
+  std::vector<uint64_t> words = w.words();
+  constexpr size_t kPayload = 5;
+  ASSERT_EQ(words[2], snapshot::kTagEngine);
+  size_t nonidle_at = 0;
+  {
+    snapshot::Reader r(words);
+    r.BeginSection(snapshot::kTagEngine);
+    r.GetU64();
+    r.GetU32();
+    r.GetI64();
+    std::vector<ColorId> resource_colors;
+    r.GetVec(resource_colors);
+    JobRing ring;
+    for (size_t c = 0; c < instance.num_colors(); ++c) ring.LoadState(r);
+    std::vector<uint64_t> pending;
+    r.GetVec(pending);
+    nonidle_at = kPayload + words[3] - r.remaining();
+  }
+  ASSERT_GE(words[nonidle_at], 1u) << "no nonidle color at the cut";
+  words[nonidle_at + 1] = 1000;
+  words[4] = snapshot::FnvWords(
+      std::span<const uint64_t>(words).subspan(kPayload, words[3]));
+
+  fleet::BatchEngine slab(8);
+  auto lane_policy = MakePolicy("greedy-edf");
+  snapshot::Reader r(words);
+  EXPECT_DEATH(slab.RestoreLane(0, instance, options, *lane_policy, r),
+               "nonidle color out of range");
 }
 
 // ---- FleetRunner batched path, 0/1/2/8 threads ---------------------------

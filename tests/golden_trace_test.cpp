@@ -14,6 +14,13 @@
 // scenarios: each round's base-color reconfigurations in order and its
 // per-color execution and drop totals, then the final cost and counts.
 //
+// The `offline/exact` and `offline/robust` keys pin the offline search
+// itself: a fixed seeded corpus of tiny instances run through SolveOptimal
+// and SolveRobust under every pruning/budget/pool variant, folding the
+// bracket, all five search counters, and SolveOptimal's reconstructed
+// schedule. The differential suites compare these counters only across
+// thread counts; these keys pin their absolute values.
+//
 // After an *intentional* semantics change, regenerate with:
 //
 //   ./rrs_golden_trace_test --regen-golden
@@ -32,13 +39,18 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "offline/optimal.h"
+#include "offline/robust_optimal.h"
+#include "parallel/thread_pool.h"
 #include "reduce/distribute.h"
 #include "reduce/online.h"
 #include "reduce/varbatch.h"
 #include "sched/registry.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/sha256.h"
 #include "workload/scenarios.h"
+#include "workload/uncertain.h"
 
 namespace rrs {
 namespace {
@@ -157,7 +169,115 @@ std::string OnlineDigest(const Instance& instance) {
   return hash.FinishHex();
 }
 
-// All (scenario/policy) digests, in deterministic order.
+// The offline search corpus: the differential suites' tiny-instance
+// palette (1-3 colors, D in {1,2,3,4,5,8}, up to 10 jobs over 7 rounds),
+// weighted every third draw, with m cycling 1..3 and delta 1..4.
+constexpr int kOfflineCorpusSize = 200;
+
+struct OfflineCase {
+  Instance instance;
+  uint32_t m = 1;
+  uint64_t delta = 1;
+};
+
+std::vector<OfflineCase> OfflineCorpus() {
+  Rng rng(20261017);
+  std::vector<OfflineCase> corpus;
+  for (int trial = 0; trial < kOfflineCorpusSize; ++trial) {
+    const bool weighted = trial % 3 == 0;
+    InstanceBuilder b;
+    const size_t colors = 1 + rng.NextBounded(3);
+    static const Round kDelays[] = {1, 2, 3, 4, 5, 8};
+    for (size_t c = 0; c < colors; ++c) {
+      const Round d = kDelays[rng.NextBounded(sizeof(kDelays) / sizeof(Round))];
+      b.AddColor(d, "", weighted ? 1 + rng.NextBounded(4) : 1);
+    }
+    const uint64_t jobs = 1 + rng.NextBounded(10);
+    for (uint64_t j = 0; j < jobs; ++j) {
+      b.AddJob(static_cast<ColorId>(rng.NextBounded(colors)),
+               static_cast<Round>(rng.NextBounded(7)));
+    }
+    corpus.push_back({b.Build(), 1 + static_cast<uint32_t>(trial % 3),
+                      1 + static_cast<uint64_t>(trial % 4)});
+  }
+  return corpus;
+}
+
+// The search variants every corpus case runs under: defaults, each prune
+// knob off, a budget that exhausts mid-search, and a 2-thread pool.
+template <typename Options>
+std::vector<Options> SearchVariants(uint32_t m, uint64_t delta,
+                                    ThreadPool& pool) {
+  Options base;
+  base.num_resources = m;
+  base.cost_model.delta = delta;
+  std::vector<Options> variants(5, base);
+  variants[1].prune_bound = false;
+  variants[2].prune_dominance = false;
+  variants[3].max_states = 40;
+  variants[4].pool = &pool;
+  return variants;
+}
+
+template <typename Result>
+void HashSearchResult(Sha256& hash, const Result& r) {
+  hash.UpdateU64(r.exact ? 1 : 0);
+  hash.UpdateU64(r.lower_bound);
+  hash.UpdateU64(r.upper_bound);
+  hash.UpdateU64(r.states_expanded);
+  hash.UpdateU64(r.states_generated);
+  hash.UpdateU64(r.pruned_bound);
+  hash.UpdateU64(r.pruned_dominated);
+  hash.UpdateU64(r.max_layer_width);
+}
+
+std::string ExactSearchDigest(const std::vector<OfflineCase>& corpus) {
+  ThreadPool pool(2);
+  Sha256 hash;
+  for (const OfflineCase& c : corpus) {
+    auto variants =
+        SearchVariants<offline::OptimalOptions>(c.m, c.delta, pool);
+    variants[0].reconstruct_schedule = true;
+    for (const offline::OptimalOptions& options : variants) {
+      const offline::OptimalResult r =
+          offline::SolveOptimal(c.instance, options);
+      HashSearchResult(hash, r);
+      hash.UpdateU64(r.total_cost);
+      if (!r.schedule.has_value()) continue;
+      for (const ReconfigAction& a : r.schedule->reconfigs()) {
+        hash.UpdateU64(static_cast<uint64_t>(a.round));
+        hash.UpdateU64(a.resource);
+        hash.UpdateU64(a.to);
+      }
+      for (const ExecAction& a : r.schedule->executions()) {
+        hash.UpdateU64(static_cast<uint64_t>(a.round));
+        hash.UpdateU64(a.resource);
+        hash.UpdateU64(a.job);
+      }
+    }
+  }
+  return hash.FinishHex();
+}
+
+// SolveRobust on each corpus case lifted to arrival windows of width 0, 1
+// and 2.
+std::string RobustSearchDigest(const std::vector<OfflineCase>& corpus) {
+  ThreadPool pool(2);
+  Sha256 hash;
+  for (const OfflineCase& c : corpus) {
+    for (Round width = 0; width <= 2; ++width) {
+      const auto set = workload::UncertainInstance::FromInstance(
+          c.instance, width / 2, width - width / 2);
+      for (const offline::RobustOptions& options :
+           SearchVariants<offline::RobustOptions>(c.m, c.delta, pool)) {
+        HashSearchResult(hash, offline::SolveRobust(set, options));
+      }
+    }
+  }
+  return hash.FinishHex();
+}
+
+// All digests, in deterministic order.
 std::map<std::string, std::string> ComputeAllDigests() {
   std::map<std::string, std::string> digests;
   for (const auto& [scenario, instance] : GoldenScenarios()) {
@@ -166,6 +286,9 @@ std::map<std::string, std::string> ComputeAllDigests() {
     }
     digests[scenario + "/online"] = OnlineDigest(instance);
   }
+  const std::vector<OfflineCase> corpus = OfflineCorpus();
+  digests["offline/exact"] = ExactSearchDigest(corpus);
+  digests["offline/robust"] = RobustSearchDigest(corpus);
   return digests;
 }
 
@@ -224,8 +347,9 @@ int RegenGolden() {
     return 1;
   }
   out << "# SHA-256 digests of per-round execution timelines, one line per\n"
-         "# <scenario>/<policy>. Regenerate after intentional semantics\n"
-         "# changes with: ./rrs_golden_trace_test --regen-golden\n";
+         "# <scenario>/<policy>, plus the offline search corpus digests.\n"
+         "# Regenerate after intentional semantics changes with:\n"
+         "# ./rrs_golden_trace_test --regen-golden\n";
   for (const auto& [key, digest] : digests) {
     out << key << " " << digest << "\n";
     std::printf("%s %s\n", key.c_str(), digest.c_str());

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -452,6 +453,19 @@ TEST(Tracer, ThreadTracksAreDistinctPerThread) {
   EXPECT_EQ(tracer.num_tracks(), 2u);
   EXPECT_NE(main_track->name(), other_track->name());
   EXPECT_EQ(main_track->name().rfind("thread-", 0), 0u);
+}
+
+TEST(Tracer, ThreadTrackCacheMissesATracerAtAReusedAddress) {
+  // A tracer built in a destroyed tracer's storage must register its own
+  // thread track, not hand back the one that died with the old tracer.
+  alignas(obs::Tracer) unsigned char storage[sizeof(obs::Tracer)];
+  obs::Tracer* first = new (storage) obs::Tracer();
+  ASSERT_NE(first->ThreadTrack(), nullptr);
+  first->~Tracer();
+  obs::Tracer* second = new (storage) obs::Tracer();
+  second->ThreadTrack();
+  EXPECT_EQ(second->num_tracks(), 1u);
+  second->~Tracer();
 }
 
 // ---- Chrome trace_event export: golden round-trip -------------------------
