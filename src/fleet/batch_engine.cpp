@@ -24,10 +24,11 @@ inline Round PosMod(Round a, Round m) {
 }  // namespace
 
 // Per-lane session arena: the same fields as the scalar Engine's SimState,
-// minus what the slab shares (the pending table and the timing wheel) and
-// minus the schedule/obs machinery batched lanes forbid. Buffers are
-// assigned (not reconstructed) per tenant, so capacity carries over and a
-// warm lane opens with zero allocation (Session rules 1-2).
+// minus what the slab shares (the pending table, the timing wheel and the
+// instruments block) and minus the schedule/obs machinery batched lanes
+// forbid. Buffers are assigned (not reconstructed) per tenant, so capacity
+// carries over and a warm lane opens with zero allocation (Session rules
+// 1-2).
 struct BatchEngine::Lane {
   const Instance* instance = nullptr;  // shape (full instance when source-less)
   EngineOptions options;
@@ -59,7 +60,6 @@ struct BatchEngine::Lane {
   CostBreakdown cost;
   uint64_t executed = 0;
   std::vector<uint64_t> drops_per_color;
-  obs::RunInstruments instruments;
 #if RRS_OBS_LEVEL >= 1
   std::vector<uint64_t> reconfigs_per_color;
 #endif
@@ -266,7 +266,7 @@ void BatchEngine::InitLane(uint32_t lane, const Instance& shape,
 #if RRS_OBS_LEVEL >= 1
   l.reconfigs_per_color.assign(num_colors_, 0);
 #endif
-  l.instruments.Rebind(nullptr, "engine");
+  instruments_.Rebind(nullptr, "engine");
   policy.Reset(shape, options);
 }
 
@@ -522,10 +522,10 @@ void BatchEngine::FinishLane(uint32_t lane, RunResult& result) {
   RRS_CHECK_EQ(result.executed + result.cost.drops, result.arrived)
       << "batch engine accounting mismatch";
 #if RRS_OBS_LEVEL >= 1
-  internal::FinalizeRunTelemetry(*l.policy, l.instruments,
+  internal::FinalizeRunTelemetry(*l.policy, instruments_,
                                  l.reconfigs_per_color, result);
 #else
-  internal::FinalizeRunTelemetry(*l.policy, l.instruments, {}, result);
+  internal::FinalizeRunTelemetry(*l.policy, instruments_, {}, result);
 #endif
   result.schedule.reset();
   CloseLane(lane);

@@ -231,6 +231,12 @@ class BatchEngine {
 
   DlruEdfLaneKernel kernel_;
 
+  // One instruments block for the whole slab. Lanes never record a phase
+  // sample (no per-run obs scope), so every lane's block would stay empty:
+  // each lane open rebinds this one and each lane finish folds it, leaving
+  // telemetry unchanged without a ~16 KB block per lane.
+  obs::RunInstruments instruments_;
+
   uint64_t lane_rounds_ = 0;
   uint64_t slab_rounds_ = 0;
   uint64_t fused_lane_opens_ = 0;

@@ -111,9 +111,9 @@ struct FleetOptions {
   // obs scope, or no same-shape slab filling at admission time) fall back to
   // scalar sessions; results are bit-identical either way. Max 64.
   uint32_t batch_width = 0;
-  // Builds the scheduler for replay sessions (one per pooled session, reused
-  // across tenants via SchedulerPolicy::Reset). Defaults to ΔLRU-EDF with
-  // default parameters.
+  // Builds the scheduler for replay sessions (one per pooled session or
+  // opened slab lane, reused across tenants via SchedulerPolicy::Reset).
+  // Defaults to ΔLRU-EDF with default parameters.
   std::function<std::unique_ptr<SchedulerPolicy>()> policy_factory;
   // Parameters for pipeline sessions (kPipeline jobs).
   DlruEdfPolicy::Params pipeline_params;

@@ -45,6 +45,8 @@ std::unique_ptr<workload::ArrivalSource> SourceOf(const FleetJob& job) {
 
 // A pooled slab: one BatchEngine plus one policy per lane (each lane's
 // tenant gets its own policy instance, rebound via Reset inside OpenLane).
+// A lane's policy is built when the lane first opens, so a sparse slab holds
+// only the policies its tenants used.
 struct TickCore::Slab {
   struct Lane {
     uint64_t tenant = 0;
@@ -52,17 +54,11 @@ struct TickCore::Slab {
     std::unique_ptr<workload::ArrivalSource> source;
   };
 
-  Slab(uint32_t width,
-       const std::function<std::unique_ptr<SchedulerPolicy>()>& factory)
-      : engine(width), lanes(width) {
-    policies.reserve(width);
-    for (uint32_t lane = 0; lane < width; ++lane) {
-      policies.push_back(factory());
-    }
-  }
+  explicit Slab(uint32_t width)
+      : engine(width), policies(width), lanes(width) {}
 
   BatchEngine engine;
-  std::vector<std::unique_ptr<SchedulerPolicy>> policies;
+  std::vector<std::unique_ptr<SchedulerPolicy>> policies;  // null until used
   std::vector<Lane> lanes;  // valid for open lanes
 };
 
@@ -75,8 +71,7 @@ TickCore::TickCore(TickCoreOptions options)
         return session;
       }),
       slab_pool_([this] {
-        return std::make_unique<Slab>(options_.batch_width,
-                                      options_.policy_factory);
+        return std::make_unique<Slab>(options_.batch_width);
       }) {
   RRS_CHECK(options_.policy_factory != nullptr);
   RRS_CHECK_GE(options_.rounds_per_tick, 1);
@@ -182,11 +177,15 @@ void TickCore::OpenLane(uint64_t tenant, const FleetJob& job,
   }
   const uint32_t lane =
       static_cast<uint32_t>(std::countr_one(slab->engine.open_mask()));
+  std::unique_ptr<SchedulerPolicy>& policy = slab->policies[lane];
+  if (policy == nullptr) {
+    policy = options_.policy_factory();
+    RRS_CHECK(policy != nullptr);
+  }
   if (source != nullptr) {
-    slab->engine.OpenLane(lane, *source, job.options, *slab->policies[lane]);
+    slab->engine.OpenLane(lane, *source, job.options, *policy);
   } else {
-    slab->engine.OpenLane(lane, *job.instance, job.options,
-                          *slab->policies[lane]);
+    slab->engine.OpenLane(lane, *job.instance, job.options, *policy);
   }
   slab->lanes[lane] = {tenant, &shape, std::move(source)};
   ++lanes_;

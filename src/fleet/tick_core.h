@@ -95,7 +95,8 @@ class ResultSink final : public TickSink {
 };
 
 struct TickCoreOptions {
-  // Builds one policy per pooled session and per slab lane. Required.
+  // Builds one policy per pooled session and per slab lane, the lane's when
+  // it first opens. Required.
   std::function<std::unique_ptr<SchedulerPolicy>()> policy_factory;
   // Rounds each live tenant advances per Step.
   Round rounds_per_tick = 64;

@@ -8,11 +8,14 @@ namespace rrs {
 
 namespace {
 
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
+// Means at or above this split before drawing (Rng::Poisson).
+constexpr double kPoissonSplitMean = 30;
 
 }  // namespace
+
+PoissonMean::PoissonMean(double mean)
+    : mean_(mean),
+      limit_(mean > 0 && mean < kPoissonSplitMean ? std::exp(-mean) : 0) {}
 
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
@@ -20,18 +23,6 @@ Rng::Rng(uint64_t seed) {
   // An all-zero state is the one fixed point of xoshiro; SplitMix64 cannot
   // produce four consecutive zeros from any seed, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
@@ -56,39 +47,15 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(NextBounded(span));
 }
 
-double Rng::UniformDouble() {
-  // 53 random bits mapped to [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0) return false;
-  if (p >= 1) return true;
-  return UniformDouble() < p;
 }
 
 uint64_t Rng::Poisson(double mean) {
   RRS_CHECK_GE(mean, 0.0);
   if (mean == 0) return 0;
-  if (mean < 30) {
-    // Knuth's product method.
-    const double limit = std::exp(-mean);
-    double prod = UniformDouble();
-    uint64_t count = 0;
-    while (prod > limit) {
-      prod *= UniformDouble();
-      ++count;
-    }
-    return count;
-  }
-  // For large means, split mean = m1 + m2 recursively so each piece stays in
-  // the numerically stable range of the product method. Poisson(a + b) is the
-  // sum of independent Poisson(a) and Poisson(b).
-  double half = mean / 2;
+  if (mean < kPoissonSplitMean) return PoissonKnuth(std::exp(-mean));
+  const double half = mean / 2;
   return Poisson(half) + Poisson(mean - half);
 }
 
@@ -111,7 +78,17 @@ Rng Rng::Fork() {
   // statistically independent for experiment purposes.
   uint64_t a = Next();
   uint64_t b = Next();
-  return Rng(a ^ Rotl(b, 29) ^ 0x9e3779b97f4a7c15ULL);
+  return Rng(a ^ std::rotl(b, 29) ^ 0x9e3779b97f4a7c15ULL);
+}
+
+void Rng::LoadState(const std::array<uint64_t, 4>& s) {
+  RRS_CHECK((s[0] | s[1] | s[2] | s[3]) != 0)
+      << "all-zero xoshiro state restored: no seed produces it, and it "
+         "draws 0 forever";
+  s_[0] = s[0];
+  s_[1] = s[1];
+  s_[2] = s[2];
+  s_[3] = s[3];
 }
 
 ZipfDistribution::ZipfDistribution(size_t n, double exponent)

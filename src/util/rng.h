@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -36,7 +37,30 @@ class SplitMix64 {
   uint64_t state_;
 };
 
+// A Poisson mean with Knuth's limit std::exp(-mean) computed once, for
+// generators that draw the same mean round after round (the streaming
+// sources in workload/source.h keep one per color). Rng::Poisson(const
+// PoissonMean&) returns exactly what Rng::Poisson(mean()) returns, from the
+// same uniforms, without the per-draw std::exp. It is configuration derived
+// from options, never generator state: nothing saves or ships it.
+class PoissonMean {
+ public:
+  explicit PoissonMean(double mean);
+
+  double mean() const { return mean_; }
+  // std::exp(-mean) for 0 < mean < 30, the one-product-loop range; 0 for a
+  // zero mean (no uniform drawn) and for means that split.
+  double limit() const { return limit_; }
+
+ private:
+  double mean_;
+  double limit_;
+};
+
 // xoshiro256**: fast, high-quality 64-bit generator (Blackman & Vigna).
+// Next, UniformDouble, Bernoulli and the precomputed-limit Poisson draw are
+// header-inline: a streaming source's per-color draw loop makes no call per
+// uniform.
 class Rng {
  public:
   using result_type = uint64_t;
@@ -49,7 +73,17 @@ class Rng {
   }
 
   // Raw 64 random bits.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   result_type operator()() { return Next(); }
 
   // Uniform integer in [0, bound), bound > 0. Uses Lemire's nearly-divisionless
@@ -59,19 +93,34 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  // Uniform double in [0, 1).
-  double UniformDouble();
+  // Uniform double in [0, 1): 53 random bits.
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
 
   // True with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0) return false;
+    if (p >= 1) return true;
+    return UniformDouble() < p;
+  }
 
-  // Poisson-distributed count with the given mean (>= 0). Uses Knuth's
-  // product method for small means and PTRS-like normal approximation with
-  // rejection fallback for large means; exact enough for workload synthesis.
+  // Poisson-distributed count with the given mean (>= 0). Means below 30 run
+  // Knuth's product method against std::exp(-mean); larger means split
+  // recursively into halves (Poisson(a + b) is Poisson(a) + Poisson(b)) so
+  // every piece stays in the product method's numerically stable range. A
+  // zero mean draws no uniform.
   uint64_t Poisson(double mean);
+
+  // Poisson(m.mean()) with the limit precomputed: the same count from the
+  // same uniforms.
+  uint64_t Poisson(const PoissonMean& m) {
+    if (m.limit() > 0) return PoissonKnuth(m.limit());
+    return Poisson(m.mean());
+  }
 
   // Exponential with the given rate (> 0).
   double Exponential(double rate);
@@ -95,16 +144,25 @@ class Rng {
 
   // Raw generator state, for checkpoint/restore (snapshot/codec.h). A
   // restored Rng continues the exact stream of the saved one, so a restored
-  // tenant replays the identical arrival future.
+  // tenant replays the identical arrival future. LoadState rejects the
+  // all-zero state, xoshiro's fixed point, which no seed produces.
   std::array<uint64_t, 4> SaveState() const { return {s_[0], s_[1], s_[2], s_[3]}; }
-  void LoadState(const std::array<uint64_t, 4>& s) {
-    s_[0] = s[0];
-    s_[1] = s[1];
-    s_[2] = s[2];
-    s_[3] = s[3];
-  }
+  void LoadState(const std::array<uint64_t, 4>& s);
 
  private:
+  // Knuth's product method against limit = std::exp(-mean): the number of
+  // uniforms after the first that the running product takes to fall to the
+  // limit.
+  uint64_t PoissonKnuth(double limit) {
+    double prod = UniformDouble();
+    uint64_t count = 0;
+    while (prod > limit) {
+      prod *= UniformDouble();
+      ++count;
+    }
+    return count;
+  }
+
   uint64_t s_[4];
 };
 

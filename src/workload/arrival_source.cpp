@@ -29,8 +29,10 @@ void ArrivalSource::LoadState(snapshot::Reader& r) {
   const Round cursor = r.GetI64();
   RRS_CHECK_GE(cursor, 0);
   RRS_CHECK_LE(cursor, request_rounds_);
-  LoadBody(r);
+  // Before LoadBody: family state derived from the cursor (batch window
+  // starts) and range checks against it read the loaded value.
   cursor_ = cursor;
+  LoadBody(r);
   r.EndSection();
 }
 

@@ -136,6 +136,7 @@ class ArrivalSource {
   // Emit round k's runs; called exactly once per round in ascending order.
   virtual std::span<const Run> EmitRound(Round k) = 0;
   // Family state beyond the cursor, inside the kTagArrivalSource section.
+  // LoadBody runs with cursor_ already set to the loaded cursor.
   virtual void SaveBody(snapshot::Writer&) const {}
   virtual void LoadBody(snapshot::Reader&) {}
 

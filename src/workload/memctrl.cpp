@@ -12,7 +12,10 @@ namespace {
 
 class MemctrlSource final : public SeriesSource {
  public:
-  explicit MemctrlSource(const MemctrlOptions& options) : options_(options) {
+  explicit MemctrlSource(const MemctrlOptions& options)
+      : options_(options),
+        burst_rate_(options.burst_rate),
+        idle_rate_(options.idle_rate) {
     RRS_CHECK_GE(options_.num_ranks, 1u);
     RRS_CHECK_GE(options_.banks_per_rank, 1u);
     RRS_CHECK(!options_.delay_choices.empty());
@@ -43,18 +46,20 @@ class MemctrlSource final : public SeriesSource {
   }
 
  protected:
-  uint64_t DrawCount(ColorId c, Round r) override {
-    uint64_t count = on_[c] ? rngs_[c].Poisson(options_.burst_rate)
-                            : rngs_[c].Poisson(options_.idle_rate);
-    const double flip = on_[c] ? options_.close_prob : options_.open_prob;
-    if (rngs_[c].Bernoulli(flip)) on_[c] ^= 1;
-    if (InRefresh(c / options_.banks_per_rank, r)) {
-      stash_[c] += count;
-      return 0;
-    }
-    count += stash_[c];
-    stash_[c] = 0;
-    return count;
+  std::span<const Run> EmitRound(Round k) override {
+    return EmitSeries(k, [this](ColorId c, Round r) {
+      Rng& rng = rngs_[c];
+      uint64_t count = rng.Poisson(on_[c] ? burst_rate_ : idle_rate_);
+      const double flip = on_[c] ? options_.close_prob : options_.open_prob;
+      if (rng.Bernoulli(flip)) on_[c] ^= 1;
+      if (InRefresh(c / options_.banks_per_rank, r)) {
+        stash_[c] += count;
+        return uint64_t{0};
+      }
+      count += stash_[c];
+      stash_[c] = 0;
+      return count;
+    });
   }
 
   void ResetSeries() override {
@@ -71,6 +76,10 @@ class MemctrlSource final : public SeriesSource {
     r.GetVec(stash_);
     RRS_CHECK_EQ(on_.size(), rngs_.size());
     RRS_CHECK_EQ(stash_.size(), rngs_.size());
+    // The draw toggles the flag with ^= 1, so any other value never closes.
+    for (const unsigned open : on_) {
+      RRS_CHECK_LE(open, 1u) << "open-row flag other than 0 or 1";
+    }
   }
 
  private:
@@ -83,6 +92,8 @@ class MemctrlSource final : public SeriesSource {
   }
 
   MemctrlOptions options_;
+  PoissonMean burst_rate_;
+  PoissonMean idle_rate_;
   std::vector<uint8_t> on_;      // per-bank open-row flag
   std::vector<uint64_t> stash_;  // per-bank arrivals held during refresh
 };

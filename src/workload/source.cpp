@@ -13,6 +13,24 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586;
 
+// The first batch window start of a delay-d color at or after `cursor`: the
+// derived window state of a source restored at `cursor`.
+Round WindowStartAt(Round cursor, Round d) { return (cursor + d - 1) / d * d; }
+
+// The jobless shape of a ColorSpec table, and its rates in color order.
+Instance ShapeOf(const std::vector<ColorSpec>& colors) {
+  InstanceBuilder builder;
+  for (const ColorSpec& spec : colors) builder.AddColor(spec.delay_bound);
+  return builder.Build();
+}
+
+std::vector<PoissonMean> RatesOf(const std::vector<ColorSpec>& colors) {
+  std::vector<PoissonMean> rates;
+  rates.reserve(colors.size());
+  for (const ColorSpec& spec : colors) rates.emplace_back(spec.rate);
+  return rates;
+}
+
 }  // namespace
 
 // ---- SeriesSource ---------------------------------------------------------
@@ -26,6 +44,7 @@ void SeriesSource::InitSeries(Instance shape, Round raw_rounds, bool batched,
   rate_limited_ = rate_limited;
   fork_base_ = fork_base;
   rngs_.resize(shape_.num_colors(), Rng(0));
+  if (batched_) window_start_.resize(shape_.num_colors());
 }
 
 void SeriesSource::ResetImpl() {
@@ -33,34 +52,8 @@ void SeriesSource::ResetImpl() {
   // one Fork from the master RNG per color, in color order.
   Rng rng = fork_base_;
   for (auto& fork : rngs_) fork = rng.Fork();
+  std::fill(window_start_.begin(), window_start_.end(), 0);
   ResetSeries();
-}
-
-std::span<const ArrivalSource::Run> SeriesSource::EmitRound(Round k) {
-  runs_.clear();
-  const size_t num_colors = shape_.num_colors();
-  if (!batched_) {
-    for (ColorId c = 0; c < num_colors; ++c) {
-      const uint64_t count = DrawCount(c, k);
-      if (count != 0) runs_.emplace_back(c, count);
-    }
-    return runs_;
-  }
-  // D-aligned batching: color c emits at multiples of D_c, aggregating the
-  // window [k, k + D_c) — drawn here, from c's own fork, in round order, so
-  // the fork's stream matches the non-windowed draw sequence exactly.
-  for (ColorId c = 0; c < num_colors; ++c) {
-    const Round d = shape_.delay_bound(c);
-    if (k % d != 0) continue;
-    uint64_t total = 0;
-    const Round end = std::min(raw_rounds_, k + d);
-    for (Round r = k; r < end; ++r) total += DrawCount(c, r);
-    if (rate_limited_) {
-      total = std::min<uint64_t>(total, static_cast<uint64_t>(d));
-    }
-    if (total != 0) runs_.emplace_back(c, total);
-  }
-  return runs_;
 }
 
 void SeriesSource::SaveBody(snapshot::Writer& w) const {
@@ -76,23 +69,26 @@ void SeriesSource::LoadBody(snapshot::Reader& r) {
     for (uint64_t& word : state) word = r.GetU64();
     rng.LoadState(state);
   }
+  for (ColorId c = 0; c < window_start_.size(); ++c) {
+    window_start_[c] = WindowStartAt(cursor_, shape_.delay_bound(c));
+  }
   LoadSeries(r);
 }
 
 // ---- PoissonSource --------------------------------------------------------
 
-PoissonSource::PoissonSource(std::vector<ColorSpec> colors,
+PoissonSource::PoissonSource(const std::vector<ColorSpec>& colors,
                              const PoissonOptions& options)
-    : colors_(std::move(colors)), options_(options) {
-  InstanceBuilder builder;
-  for (const ColorSpec& spec : colors_) builder.AddColor(spec.delay_bound);
-  InitSeries(builder.Build(), options_.rounds, options_.batched,
+    : rates_(RatesOf(colors)), options_(options) {
+  InitSeries(ShapeOf(colors), options_.rounds, options_.batched,
              options_.rate_limited, Rng(options_.seed));
   FinishInit(options_.rounds);
 }
 
-uint64_t PoissonSource::DrawCount(ColorId c, Round /*r*/) {
-  return rngs_[c].Poisson(colors_[c].rate);
+std::span<const ArrivalSource::Run> PoissonSource::EmitRound(Round k) {
+  return EmitSeries(k, [this](ColorId c, Round) {
+    return rngs_[c].Poisson(rates_[c]);
+  });
 }
 
 std::unique_ptr<ArrivalSource> PoissonSource::Clone() const {
@@ -103,22 +99,23 @@ std::unique_ptr<ArrivalSource> PoissonSource::Clone() const {
 
 // ---- BurstySource ---------------------------------------------------------
 
-BurstySource::BurstySource(std::vector<ColorSpec> colors,
+BurstySource::BurstySource(const std::vector<ColorSpec>& colors,
                            const BurstyOptions& options)
-    : colors_(std::move(colors)), options_(options) {
-  InstanceBuilder builder;
-  for (const ColorSpec& spec : colors_) builder.AddColor(spec.delay_bound);
-  on_.resize(colors_.size());
-  InitSeries(builder.Build(), options_.rounds, options_.batched,
+    : rates_(RatesOf(colors)), options_(options) {
+  on_.resize(colors.size());
+  InitSeries(ShapeOf(colors), options_.rounds, options_.batched,
              options_.rate_limited, Rng(options_.seed));
   FinishInit(options_.rounds);
 }
 
-uint64_t BurstySource::DrawCount(ColorId c, Round /*r*/) {
-  const uint64_t count = on_[c] ? rngs_[c].Poisson(colors_[c].rate) : 0;
-  const double flip = on_[c] ? options_.p_on_to_off : options_.p_off_to_on;
-  if (rngs_[c].Bernoulli(flip)) on_[c] = !on_[c];
-  return count;
+std::span<const ArrivalSource::Run> BurstySource::EmitRound(Round k) {
+  return EmitSeries(k, [this](ColorId c, Round) {
+    Rng& rng = rngs_[c];
+    const uint64_t count = on_[c] ? rng.Poisson(rates_[c]) : 0;
+    const double flip = on_[c] ? options_.p_on_to_off : options_.p_off_to_on;
+    if (rng.Bernoulli(flip)) on_[c] = !on_[c];
+    return count;
+  });
 }
 
 void BurstySource::ResetSeries() {
@@ -130,7 +127,7 @@ void BurstySource::SaveSeries(snapshot::Writer& w) const { w.PutVec(on_); }
 
 void BurstySource::LoadSeries(snapshot::Reader& r) {
   r.GetVec(on_);
-  RRS_CHECK_EQ(on_.size(), colors_.size());
+  RRS_CHECK_EQ(on_.size(), rates_.size());
 }
 
 std::unique_ptr<ArrivalSource> BurstySource::Clone() const {
@@ -143,7 +140,8 @@ std::unique_ptr<ArrivalSource> BurstySource::Clone() const {
 
 ZipfSource::ZipfSource(const ZipfOptions& options)
     : options_(options),
-      zipf_(options.num_colors, options.zipf_exponent) {
+      zipf_(options.num_colors, options.zipf_exponent),
+      jobs_per_round_(options.jobs_per_round) {
   RRS_CHECK_GE(options_.rounds, 1);
   RRS_CHECK_GE(options_.num_colors, 1u);
   RRS_CHECK(!options_.delay_choices.empty());
@@ -172,6 +170,7 @@ ZipfSource::ZipfSource(const ZipfOptions& options)
           static_cast<size_t>(max_delay / d) + 2);
       window_acc_[c].assign(cap, 0);
     }
+    window_start_.resize(options_.num_colors);
   }
   FinishInit(options_.rounds);
 }
@@ -182,13 +181,14 @@ void ZipfSource::ResetImpl() {
   std::fill(row_counts_.begin(), row_counts_.end(), 0);
   row_touched_.clear();
   for (auto& ring : window_acc_) std::fill(ring.begin(), ring.end(), 0);
+  std::fill(window_start_.begin(), window_start_.end(), 0);
 }
 
 void ZipfSource::DrawRowsThrough(Round needed) {
   // Raw per-round rows are drawn strictly in round order from the shared
   // RNG — the exact draw sequence of the materializing builder.
   for (Round r = next_raw_; r < needed; ++r) {
-    const uint64_t total = rng_.Poisson(options_.jobs_per_round);
+    const uint64_t total = rng_.Poisson(jobs_per_round_);
     for (uint64_t i = 0; i < total; ++i) {
       const size_t c = zipf_.Sample(rng_);
       const Round d = shape_.delay_bound(static_cast<ColorId>(c));
@@ -202,7 +202,7 @@ void ZipfSource::DrawRowsThrough(Round needed) {
 std::span<const ArrivalSource::Run> ZipfSource::EmitRound(Round k) {
   runs_.clear();
   if (!batched_) {
-    const uint64_t total = rng_.Poisson(options_.jobs_per_round);
+    const uint64_t total = rng_.Poisson(jobs_per_round_);
     for (uint64_t i = 0; i < total; ++i) {
       const size_t c = zipf_.Sample(rng_);
       if (row_counts_[c]++ == 0) {
@@ -220,16 +220,17 @@ std::span<const ArrivalSource::Run> ZipfSource::EmitRound(Round k) {
   }
 
   Round needed = 0;
-  for (ColorId c = 0; c < shape_.num_colors(); ++c) {
-    const Round d = shape_.delay_bound(c);
-    if (k % d == 0) {
-      needed = std::max(needed, std::min(options_.rounds, k + d));
+  for (ColorId c = 0; c < window_start_.size(); ++c) {
+    if (window_start_[c] == k) {
+      needed = std::max(needed,
+                        std::min(options_.rounds, k + shape_.delay_bound(c)));
     }
   }
   if (needed > next_raw_) DrawRowsThrough(needed);
-  for (ColorId c = 0; c < shape_.num_colors(); ++c) {
+  for (ColorId c = 0; c < window_start_.size(); ++c) {
+    if (window_start_[c] != k) continue;
     const Round d = shape_.delay_bound(c);
-    if (k % d != 0) continue;
+    window_start_[c] = k + d;
     auto& ring = window_acc_[c];
     const size_t slot = static_cast<size_t>(k / d) & (ring.size() - 1);
     uint64_t total = ring[slot];
@@ -253,6 +254,24 @@ void ZipfSource::LoadBody(snapshot::Reader& r) {
   for (uint64_t& word : state) word = r.GetU64();
   rng_.LoadState(state);
   next_raw_ = r.GetI64();
+  Round max_delay = 1;
+  for (ColorId c = 0; c < window_start_.size(); ++c) {
+    const Round d = shape_.delay_bound(c);
+    max_delay = std::max(max_delay, d);
+    window_start_[c] = WindowStartAt(cursor_, d);
+  }
+  // Raw rows are drawn only at window starts, through the longest window
+  // that opened, so after round cursor_ - 1 they reach at least cursor_ and
+  // at most cursor_ - 1 + max D (both capped at the round count).
+  if (!batched_ || cursor_ == 0) {
+    RRS_CHECK_EQ(next_raw_, 0)
+        << "raw row cursor of a source that has drawn no rows ahead";
+  } else {
+    RRS_CHECK(next_raw_ >= std::min(options_.rounds, cursor_) &&
+              next_raw_ <= std::min(options_.rounds, cursor_ - 1 + max_delay))
+        << "raw row cursor " << next_raw_ << " outside the batch windows "
+        << "open at round " << cursor_;
+  }
   for (auto& ring : window_acc_) {
     const size_t cap = ring.size();
     r.GetVec(ring);
@@ -284,18 +303,21 @@ RouterSource::RouterSource(std::vector<RouterService> services,
   FinishInit(options_.rounds);
 }
 
-uint64_t RouterSource::DrawCount(ColorId c, Round r) {
-  const RouterService& svc = services_[c];
-  // Phase-shift each service by an equal fraction of the period so the
-  // dominant service rotates (expression identical to the materializing
-  // builder's, for bit-equal rates).
-  double phase = kTwoPi * static_cast<double>(c) /
-                 static_cast<double>(services_.size());
-  double wave = 0.5 * (1.0 + std::sin(kTwoPi * static_cast<double>(r) /
-                                          static_cast<double>(options_.period) +
-                                      phase));
-  double rate = svc.base_rate + (svc.peak_rate - svc.base_rate) * wave;
-  return rngs_[c].Poisson(rate);
+std::span<const ArrivalSource::Run> RouterSource::EmitRound(Round k) {
+  return EmitSeries(k, [this](ColorId c, Round r) {
+    const RouterService& svc = services_[c];
+    // Phase-shift each service by an equal fraction of the period so the
+    // dominant service rotates (expression identical to the materializing
+    // builder's, for bit-equal rates).
+    double phase = kTwoPi * static_cast<double>(c) /
+                   static_cast<double>(services_.size());
+    double wave =
+        0.5 * (1.0 + std::sin(kTwoPi * static_cast<double>(r) /
+                                  static_cast<double>(options_.period) +
+                              phase));
+    double rate = svc.base_rate + (svc.peak_rate - svc.base_rate) * wave;
+    return rngs_[c].Poisson(rate);
+  });
 }
 
 std::unique_ptr<ArrivalSource> RouterSource::Clone() const {
@@ -307,7 +329,9 @@ std::unique_ptr<ArrivalSource> RouterSource::Clone() const {
 // ---- DatacenterSource -----------------------------------------------------
 
 DatacenterSource::DatacenterSource(const DatacenterOptions& options)
-    : options_(options) {
+    : options_(options),
+      dominant_rate_(options.dominant_rate),
+      background_rate_(options.background_rate) {
   RRS_CHECK_GE(options_.phase_length, 1);
   RRS_CHECK_GE(options_.num_services, 1u);
   RRS_CHECK_GE(options_.dominant_per_phase, 1u);
@@ -341,11 +365,12 @@ DatacenterSource::DatacenterSource(const DatacenterOptions& options)
   FinishInit(options_.rounds);
 }
 
-uint64_t DatacenterSource::DrawCount(ColorId c, Round r) {
-  const size_t ph = static_cast<size_t>(r / options_.phase_length);
-  const double rate = dominant_[ph][c] ? options_.dominant_rate
-                                       : options_.background_rate;
-  return rngs_[c].Poisson(rate);
+std::span<const ArrivalSource::Run> DatacenterSource::EmitRound(Round k) {
+  return EmitSeries(k, [this](ColorId c, Round r) {
+    const size_t ph = static_cast<size_t>(r / options_.phase_length);
+    return rngs_[c].Poisson(dominant_[ph][c] ? dominant_rate_
+                                             : background_rate_);
+  });
 }
 
 std::unique_ptr<ArrivalSource> DatacenterSource::Clone() const {

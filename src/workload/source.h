@@ -18,8 +18,10 @@
 // migration path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -32,8 +34,8 @@ namespace workload {
 
 // Shared machinery for families driven by one independent RNG fork per
 // color: a jobless shape, the fork chain, and the D-aligned batching loop.
-// Subclasses implement DrawCount(c, r) — the next per-round count from color
-// c's own RNG — plus hooks for extra modulation state.
+// Each family's EmitRound calls EmitSeries with its own inline per-round
+// draw, and overrides the hooks for any extra modulation state.
 class SeriesSource : public ArrivalSource {
  public:
   const Instance& shape() const override { return shape_; }
@@ -46,13 +48,17 @@ class SeriesSource : public ArrivalSource {
                   bool rate_limited, Rng fork_base);
 
   void ResetImpl() override;
-  std::span<const Run> EmitRound(Round k) override;
   void SaveBody(snapshot::Writer& w) const override;
   void LoadBody(snapshot::Reader& r) override;
 
-  // The next count for color c (round r is informational — draws must come
-  // from rngs_[c] so each color's stream is fork-local).
-  virtual uint64_t DrawCount(ColorId c, Round r) = 0;
+  // Emits round k's runs. draw(c, r) is color c's count for round r; it must
+  // draw from rngs_[c] only, so each color's stream is fork-local. Batched
+  // colors emit at multiples of D_c, aggregating the window [k, k + D_c)
+  // drawn here in round order, so the fork's stream matches the unbatched
+  // draw sequence exactly.
+  template <class Draw>
+  std::span<const Run> EmitSeries(Round k, Draw draw);
+
   // Reset/save/load modulation state beyond the RNG forks.
   virtual void ResetSeries() {}
   virtual void SaveSeries(snapshot::Writer&) const {}
@@ -64,40 +70,76 @@ class SeriesSource : public ArrivalSource {
   bool rate_limited_ = false;
   Rng fork_base_{0};
   std::vector<Rng> rngs_;
+  // Batched only: each color's next window start, the first multiple of D_c
+  // at or after the cursor. Derived state: Reset zeroes it and LoadBody
+  // recomputes it from the loaded cursor, so it is never saved.
+  std::vector<Round> window_start_;
 };
+
+template <class Draw>
+std::span<const ArrivalSource::Run> SeriesSource::EmitSeries(Round k,
+                                                             Draw draw) {
+  runs_.clear();
+  const size_t num_colors = rngs_.size();
+  if (!batched_) {
+    for (ColorId c = 0; c < num_colors; ++c) {
+      const uint64_t count = draw(c, k);
+      if (count != 0) runs_.emplace_back(c, count);
+    }
+    return runs_;
+  }
+  for (ColorId c = 0; c < num_colors; ++c) {
+    if (window_start_[c] != k) continue;
+    const Round d = shape_.delay_bound(c);
+    window_start_[c] = k + d;
+    uint64_t total = 0;
+    const Round end = std::min(raw_rounds_, k + d);
+    for (Round r = k; r < end; ++r) total += draw(c, r);
+    if (rate_limited_) {
+      total = std::min<uint64_t>(total, static_cast<uint64_t>(d));
+    }
+    if (total != 0) runs_.emplace_back(c, total);
+  }
+  return runs_;
+}
 
 // ---- synthetic.h counterparts --------------------------------------------
 
+// Per-color rates live in the shape's color order as PoissonMeans: the rate
+// with its Knuth limit computed once (the delay bounds live in shape_).
+
 class PoissonSource final : public SeriesSource {
  public:
-  PoissonSource(std::vector<ColorSpec> colors, const PoissonOptions& options);
+  PoissonSource(const std::vector<ColorSpec>& colors,
+                const PoissonOptions& options);
 
   Family family() const override { return Family::kPoisson; }
   std::unique_ptr<ArrivalSource> Clone() const override;
 
  protected:
-  uint64_t DrawCount(ColorId c, Round r) override;
+  std::span<const Run> EmitRound(Round k) override;
 
  private:
-  std::vector<ColorSpec> colors_;
+  std::vector<PoissonMean> rates_;
   PoissonOptions options_;
 };
 
 class BurstySource final : public SeriesSource {
  public:
-  BurstySource(std::vector<ColorSpec> colors, const BurstyOptions& options);
+  BurstySource(const std::vector<ColorSpec>& colors,
+               const BurstyOptions& options);
 
   Family family() const override { return Family::kBursty; }
   std::unique_ptr<ArrivalSource> Clone() const override;
 
  protected:
-  uint64_t DrawCount(ColorId c, Round r) override;
+  std::span<const Run> EmitRound(Round k) override;
   void ResetSeries() override;
   void SaveSeries(snapshot::Writer& w) const override;
   void LoadSeries(snapshot::Reader& r) override;
 
  private:
-  std::vector<ColorSpec> colors_;
+  std::vector<PoissonMean> rates_;
   BurstyOptions options_;
   std::vector<uint8_t> on_;  // per-color Markov state
 };
@@ -106,7 +148,8 @@ class BurstySource final : public SeriesSource {
 // it is not a SeriesSource. The batched variant must aggregate each color's
 // D_c-aligned windows while drawing raw rows strictly in round order; rows
 // are drawn lazily at window-start rounds and folded into per-color window
-// accumulator rings (bounded by max D / D_c windows in flight).
+// accumulator rings (bounded by max D / D_c windows in flight). Like
+// SeriesSource, it tracks each color's next window start as derived state.
 class ZipfSource final : public ArrivalSource {
  public:
   explicit ZipfSource(const ZipfOptions& options);
@@ -128,14 +171,17 @@ class ZipfSource final : public ArrivalSource {
   Instance shape_;
   bool batched_ = false;
   ZipfDistribution zipf_;
+  PoissonMean jobs_per_round_;
   Rng rng_{0};
   // Non-batched scratch: dense per-color counts for the current row.
   std::vector<uint64_t> row_counts_;
   std::vector<ColorId> row_touched_;
-  // Batched state: raw rows drawn so far and per-color window accumulator
-  // rings (slot = window index mod ring size).
+  // Batched state: raw rows drawn so far, per-color window accumulator
+  // rings (slot = window index mod ring size) and the derived next window
+  // starts.
   Round next_raw_ = 0;
   std::vector<std::vector<uint64_t>> window_acc_;
+  std::vector<Round> window_start_;
 };
 
 // ---- scenarios.h counterparts --------------------------------------------
@@ -149,7 +195,9 @@ class RouterSource final : public SeriesSource {
   std::unique_ptr<ArrivalSource> Clone() const override;
 
  protected:
-  uint64_t DrawCount(ColorId c, Round r) override;
+  // The rate follows a sine over rounds, so each draw computes its own
+  // Poisson limit.
+  std::span<const Run> EmitRound(Round k) override;
 
  private:
   std::vector<RouterService> services_;
@@ -164,10 +212,12 @@ class DatacenterSource final : public SeriesSource {
   std::unique_ptr<ArrivalSource> Clone() const override;
 
  protected:
-  uint64_t DrawCount(ColorId c, Round r) override;
+  std::span<const Run> EmitRound(Round k) override;
 
  private:
   DatacenterOptions options_;
+  PoissonMean dominant_rate_;
+  PoissonMean background_rate_;
   // Per-phase dominant-service masks, drawn from the master RNG before the
   // per-service forks (configuration, not state: identical at every Reset).
   std::vector<std::vector<uint8_t>> dominant_;

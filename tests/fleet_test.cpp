@@ -267,6 +267,55 @@ TEST(FleetRunner, PeakLiveCountsLanesAndScalarSessionsTogether) {
   EXPECT_EQ(stats.peak_live_sessions, 6u);
 }
 
+// A slab builds a lane's policy when that lane first opens, so the policy
+// factory runs once per opened lane or scalar session — three distinct
+// shapes on 64-wide slabs plus one scalar fallback build four policies, not
+// 3 x 64 + 1.
+TEST(FleetRunner, PolicyFactoryRunsOncePerOpenedLaneOrSession) {
+  std::vector<Instance> tenants;
+  for (size_t colors = 3; colors <= 5; ++colors) {
+    std::vector<workload::ColorSpec> specs;
+    for (size_t c = 0; c < colors; ++c) {
+      specs.push_back({Round{1} << c, 0.4});
+    }
+    workload::PoissonOptions gen;
+    gen.rounds = 40;
+    gen.seed = 320 + colors;
+    tenants.push_back(MakePoisson(specs, gen));
+  }
+  std::vector<fleet::FleetJob> jobs;
+  std::vector<RunResult> fresh;
+  for (size_t i = 0; i <= tenants.size(); ++i) {
+    fleet::FleetJob job;
+    job.instance = &tenants[i % tenants.size()];
+    job.options.num_resources = 4;
+    job.options.cost_model.delta = 2;
+    // A recording run is batch-ineligible: it falls back to a scalar session.
+    job.options.record_schedule = i == tenants.size();
+    jobs.push_back(job);
+    DlruEdfPolicy policy;
+    fresh.push_back(RunPolicy(*job.instance, policy, job.options));
+  }
+
+  size_t built = 0;
+  fleet::FleetOptions options;
+  options.num_shards = 1;
+  options.batch_width = 64;
+  options.policy_factory = [&built]() -> std::unique_ptr<SchedulerPolicy> {
+    ++built;
+    return std::make_unique<DlruEdfPolicy>();
+  };
+  fleet::FleetRunner runner(std::move(options));
+  const std::vector<RunResult> got = runner.RunAll(jobs);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    ExpectSameRunResult(got[i], fresh[i], "tenant " + std::to_string(i));
+  }
+  const fleet::FleetStats stats = runner.stats();
+  EXPECT_EQ(stats.batched_sessions, 3u);
+  EXPECT_EQ(stats.fallback_sessions, 1u);
+  EXPECT_EQ(built, jobs.size());
+}
+
 // ---- TickCore checkpoint layout -------------------------------------------
 
 // A tenant evicted mid-run from one core and restored on another finishes

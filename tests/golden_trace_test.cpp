@@ -21,6 +21,12 @@
 // schedule. The differential suites compare these counters only across
 // thread counts; these keys pin their absolute values.
 //
+// The `workload/<family>[-batched|-rate-limited]` keys pin the streaming
+// generators themselves, over a few seeds each: every round's (round,
+// color, count) runs, the SaveState words at cuts {1, 17, 64}, and the runs
+// a fresh Clone emits after LoadState at each cut. `workload/fleet-lanes`
+// is the exact fleet-lanes benchmark tenant shape.
+//
 // After an *intentional* semantics change, regenerate with:
 //
 //   ./rrs_golden_trace_test --regen-golden
@@ -30,7 +36,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -46,10 +54,15 @@
 #include "reduce/online.h"
 #include "reduce/varbatch.h"
 #include "sched/registry.h"
+#include "snapshot/codec.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/sha256.h"
+#include "workload/arrival_source.h"
+#include "workload/memctrl.h"
 #include "workload/scenarios.h"
+#include "workload/source.h"
+#include "workload/synthetic.h"
 #include "workload/uncertain.h"
 
 namespace rrs {
@@ -277,6 +290,130 @@ std::string RobustSearchDigest(const std::vector<OfflineCase>& corpus) {
   return hash.FinishHex();
 }
 
+// ---- Streaming generator streams ------------------------------------------
+
+using SourceFactory =
+    std::function<std::unique_ptr<workload::ArrivalSource>(uint64_t seed)>;
+
+constexpr Round kGeneratorRounds = 96;
+constexpr uint64_t kGeneratorSeeds[] = {1, 2, 3};
+constexpr Round kGeneratorCuts[] = {1, 17, 64};
+
+// Rates include a zero-rate color (no uniform drawn) and a mean-45 color
+// (past the Knuth range, so the draw splits); delays include 3 and 5, whose
+// batch windows are not power-of-two aligned.
+std::vector<workload::ColorSpec> GeneratorColors() {
+  return {{1, 0.3}, {2, 0.0}, {3, 1.7}, {4, 0.8},
+          {5, 2.5}, {8, 45.0}, {16, 0.5}};
+}
+
+// Folds rounds [source.cursor(), num_request_rounds()) as (round, color,
+// count) runs.
+void HashRemainingRuns(Sha256& hash, workload::ArrivalSource& source) {
+  while (source.cursor() < source.num_request_rounds()) {
+    const Round k = source.cursor();
+    for (const auto& [c, count] : source.NextRound()) {
+      hash.UpdateU64(static_cast<uint64_t>(k));
+      hash.UpdateU64(c);
+      hash.UpdateU64(count);
+    }
+  }
+}
+
+std::string GeneratorDigest(const SourceFactory& make) {
+  Sha256 hash;
+  snapshot::Writer w;
+  for (const uint64_t seed : kGeneratorSeeds) {
+    std::unique_ptr<workload::ArrivalSource> source = make(seed);
+    hash.UpdateU64(static_cast<uint64_t>(source->num_request_rounds()));
+    hash.UpdateU64(static_cast<uint64_t>(source->horizon()));
+    for (ColorId c = 0; c < source->shape().num_colors(); ++c) {
+      hash.UpdateU64(source->max_backlog(c));
+    }
+    HashRemainingRuns(hash, *source);
+    for (const Round cut : kGeneratorCuts) {
+      if (cut > source->num_request_rounds()) continue;
+      source->Reset();
+      while (source->cursor() < cut) source->NextRound();
+      w.Clear();
+      source->SaveState(w);
+      for (const uint64_t word : w.words()) hash.UpdateU64(word);
+      std::unique_ptr<workload::ArrivalSource> clone = source->Clone();
+      snapshot::Reader r(w.words());
+      clone->LoadState(r);
+      RRS_CHECK(r.AtEnd());
+      HashRemainingRuns(hash, *clone);
+    }
+  }
+  return hash.FinishHex();
+}
+
+// Keys `workload/<family>[-batched|-rate-limited]`.
+std::map<std::string, SourceFactory> GeneratorFactories() {
+  std::map<std::string, SourceFactory> factories;
+  for (const int mode : {0, 1, 2}) {
+    const bool batched = mode == 1;
+    const bool rate_limited = mode == 2;
+    const std::string suffix =
+        mode == 0 ? "" : (batched ? "-batched" : "-rate-limited");
+    if (!batched) {
+      factories["workload/poisson" + suffix] = [=](uint64_t seed) {
+        workload::PoissonOptions options;
+        options.rounds = kGeneratorRounds;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakePoissonSource(GeneratorColors(), options);
+      };
+      factories["workload/bursty" + suffix] = [=](uint64_t seed) {
+        workload::BurstyOptions options;
+        options.rounds = kGeneratorRounds;
+        options.p_on_to_off = 0.2;
+        options.p_off_to_on = 0.3;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeBurstySource(GeneratorColors(), options);
+      };
+      factories["workload/zipf" + suffix] = [=](uint64_t seed) {
+        workload::ZipfOptions options;
+        options.num_colors = 7;
+        options.delay_choices = {1, 3, 4, 8, 5};
+        options.jobs_per_round = 3.5;
+        options.zipf_exponent = 0.9;
+        options.rounds = kGeneratorRounds;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeZipfSource(options);
+      };
+    }
+    factories["workload/memctrl" + suffix] = [=](uint64_t seed) {
+      workload::MemctrlOptions options;
+      options.num_ranks = 2;
+      options.banks_per_rank = 3;
+      options.delay_choices = {3, 4, 8};
+      options.rounds = kGeneratorRounds;
+      options.refresh_period = 32;
+      options.refresh_length = 4;
+      options.batched = batched;
+      options.rate_limited = rate_limited;
+      options.seed = seed;
+      return workload::MakeMemctrlSource(options);
+    };
+  }
+  // The fleet-lanes benchmark tenant: 16 colors, delays 1..32 cycled, rate
+  // 0.5, rate-limited, 128 request rounds.
+  factories["workload/fleet-lanes"] = [](uint64_t seed) {
+    const Round delays[] = {1, 2, 4, 8, 16, 32};
+    std::vector<workload::ColorSpec> colors;
+    for (size_t c = 0; c < 16; ++c) colors.push_back({delays[c % 6], 0.5});
+    workload::PoissonOptions options;
+    options.rounds = 128;
+    options.rate_limited = true;
+    options.seed = seed;
+    return workload::MakePoissonSource(colors, options);
+  };
+  return factories;
+}
+
 // All digests, in deterministic order.
 std::map<std::string, std::string> ComputeAllDigests() {
   std::map<std::string, std::string> digests;
@@ -289,6 +426,9 @@ std::map<std::string, std::string> ComputeAllDigests() {
   const std::vector<OfflineCase> corpus = OfflineCorpus();
   digests["offline/exact"] = ExactSearchDigest(corpus);
   digests["offline/robust"] = RobustSearchDigest(corpus);
+  for (const auto& [key, make] : GeneratorFactories()) {
+    digests[key] = GeneratorDigest(make);
+  }
   return digests;
 }
 
@@ -347,7 +487,8 @@ int RegenGolden() {
     return 1;
   }
   out << "# SHA-256 digests of per-round execution timelines, one line per\n"
-         "# <scenario>/<policy>, plus the offline search corpus digests.\n"
+         "# <scenario>/<policy>, plus the offline search corpus digests and\n"
+         "# the workload/<family> generator stream digests.\n"
          "# Regenerate after intentional semantics changes with:\n"
          "# ./rrs_golden_trace_test --regen-golden\n";
   for (const auto& [key, digest] : digests) {

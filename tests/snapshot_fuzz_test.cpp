@@ -28,6 +28,7 @@
 #include "snapshot/codec.h"
 #include "util/rng.h"
 #include "workload/arrival_source.h"
+#include "workload/memctrl.h"
 #include "workload/mix.h"
 #include "workload/source.h"
 #include "workload/synthetic.h"
@@ -238,21 +239,66 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
   }
   const Round rounds = 16 + static_cast<Round>(rng.NextBounded(100));
   const uint64_t seed = rng.Next();
-  const bool bursty = rng.Bernoulli(0.5);
-  auto base = [specs, rounds, seed,
-               bursty]() -> std::unique_ptr<workload::ArrivalSource> {
-    if (bursty) {
-      workload::BurstyOptions options;
-      options.rounds = rounds;
-      options.p_on_to_off = 0.15;
-      options.p_off_to_on = 0.25;
-      options.seed = seed;
-      return workload::MakeBurstySource(specs, options);
+  // Generator family: 0 Poisson, 1 bursty, 2 Zipf, 3 memctrl. Batched and
+  // rate-limited bases carry per-color batch windows across every cut.
+  const uint64_t family = rng.NextBounded(4);
+  const uint64_t batching = rng.NextBounded(3);
+  const bool batched = batching == 1;
+  const bool rate_limited = batching == 2;
+  auto base = [specs, rounds, seed, family, batched,
+               rate_limited]() -> std::unique_ptr<workload::ArrivalSource> {
+    std::vector<Round> delays;
+    double total_rate = 0;
+    for (const workload::ColorSpec& spec : specs) {
+      delays.push_back(spec.delay_bound);
+      total_rate += spec.rate;
     }
-    workload::PoissonOptions options;
-    options.rounds = rounds;
-    options.seed = seed;
-    return workload::MakePoissonSource(specs, options);
+    switch (family) {
+      case 0: {
+        workload::PoissonOptions options;
+        options.rounds = rounds;
+        options.batched = batched;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakePoissonSource(specs, options);
+      }
+      case 1: {
+        workload::BurstyOptions options;
+        options.rounds = rounds;
+        options.p_on_to_off = 0.15;
+        options.p_off_to_on = 0.25;
+        options.batched = batched;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeBurstySource(specs, options);
+      }
+      case 2: {
+        workload::ZipfOptions options;
+        options.num_colors = specs.size();
+        options.delay_choices = delays;
+        options.jobs_per_round = total_rate;
+        options.rounds = rounds;
+        options.batched = batched;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeZipfSource(options);
+      }
+      default: {
+        workload::MemctrlOptions options;
+        options.num_ranks = specs.size() > 3 ? 2 : 1;
+        options.banks_per_rank = 2;
+        options.delay_choices = delays;
+        options.rounds = rounds;
+        options.burst_rate = 2 * total_rate / static_cast<double>(specs.size());
+        options.idle_rate = total_rate / static_cast<double>(4 * specs.size());
+        options.refresh_period = 16;
+        options.refresh_length = 3;
+        options.batched = batched;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeMemctrlSource(options);
+      }
+    }
   };
   switch (rng.NextBounded(4)) {
     case 0:

@@ -101,6 +101,21 @@ TEST(Rng, PoissonZeroMeanIsZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.Poisson(0.0), 0u);
 }
 
+// A precomputed limit draws the same counts from the same uniforms: zero
+// (no uniform), a mean whose limit rounds to 1.0 (one uniform), the edges of
+// the product-method range and split means.
+TEST(Rng, PrecomputedPoissonLimitDrawsTheSameStream) {
+  for (const double mean : {0.0, 1e-20, 0.5, 7.25, 29.999, 30.0, 45.0}) {
+    const PoissonMean cached(mean);
+    Rng a(41);
+    Rng b(41);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(a.Poisson(cached), b.Poisson(mean)) << "mean " << mean;
+    }
+    EXPECT_EQ(a.SaveState(), b.SaveState()) << "mean " << mean;
+  }
+}
+
 TEST(Rng, ExponentialMeanMatches) {
   Rng rng(37);
   double sum = 0;

@@ -1,14 +1,22 @@
 // Tests for src/workload: synthetic generators, the Appendix A/B adversary
 // constructions and their hand-built OFF schedules (validated and checked
-// against the paper's closed-form costs), and the scenario generators.
+// against the paper's closed-form costs), the scenario generators, and the
+// range checks on restored generator state.
 #include <algorithm>
+#include <functional>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/schedule.h"
+#include "snapshot/codec.h"
 #include "util/rng.h"
 #include "workload/adversary.h"
+#include "workload/arrival_source.h"
+#include "workload/memctrl.h"
 #include "workload/scenarios.h"
+#include "workload/source.h"
 #include "workload/synthetic.h"
 
 namespace rrs {
@@ -288,6 +296,88 @@ TEST(Scenarios, RateLimitedVariantsAreRateLimited) {
   dc.rounds = 128;
   dc.rate_limited = true;
   EXPECT_TRUE(workload::MakeDatacenterScenario(dc).IsRateLimited());
+}
+
+// ------------------------------------------------- Restored source state ----
+//
+// Dist migration and failover ship source words between processes. A
+// restore must reject state the generators never produce, even when its
+// checksum is valid.
+
+// `source`'s saved words with `patch` applied to the kTagArrivalSource
+// payload ([family][cursor][family state...]) and the checksum re-sealed.
+std::vector<uint64_t> PatchedSourceWords(
+    const workload::ArrivalSource& source,
+    const std::function<void(std::span<uint64_t>)>& patch) {
+  snapshot::Writer w;
+  source.SaveState(w);
+  // [magic][version][tag][payload words][checksum][payload...]
+  std::vector<uint64_t> words = w.words();
+  EXPECT_EQ(words[2], snapshot::kTagArrivalSource);
+  const std::span<uint64_t> payload(words.data() + 5, words[3]);
+  patch(payload);
+  words[4] = snapshot::FnvWords(payload);
+  return words;
+}
+
+TEST(SourceStateDeath, RejectsAllZeroRngState) {
+  workload::PoissonOptions gen;
+  gen.rounds = 32;
+  gen.seed = 5;
+  auto source =
+      workload::MakePoissonSource({{1, 0.5}, {2, 0.7}, {4, 0.3}}, gen);
+  for (int k = 0; k < 6; ++k) source->NextRound();
+  // Color 1's four xoshiro words follow color 0's.
+  const std::vector<uint64_t> words =
+      PatchedSourceWords(*source, [](std::span<uint64_t> payload) {
+        for (size_t i = 6; i < 10; ++i) payload[i] = 0;
+      });
+  auto restored = source->Clone();
+  snapshot::Reader r(words);
+  EXPECT_DEATH(restored->LoadState(r), "all-zero");
+}
+
+TEST(SourceStateDeath, ZipfRejectsRawRowCursorOutsideTheWindow) {
+  workload::ZipfOptions gen;
+  gen.num_colors = 4;
+  gen.delay_choices = {1, 2, 4, 8};
+  gen.rounds = 40;
+  gen.seed = 9;
+  for (const bool rate_limited : {false, true}) {
+    gen.rate_limited = rate_limited;
+    auto source = workload::MakeZipfSource(gen);
+    for (int k = 0; k < 5; ++k) source->NextRound();
+    // Batched at cursor 5 with max D = 8, the raw rows drawn so far lie in
+    // [5, 12]; unbatched, none are ever drawn ahead. The raw-row cursor
+    // follows [family][cursor][4 rng words].
+    const uint64_t bad = rate_limited ? 13 : 1;
+    const std::vector<uint64_t> words =
+        PatchedSourceWords(*source, [bad](std::span<uint64_t> payload) {
+          payload[6] = bad;
+        });
+    auto restored = source->Clone();
+    snapshot::Reader r(words);
+    EXPECT_DEATH(restored->LoadState(r), "raw row");
+  }
+}
+
+TEST(SourceStateDeath, MemctrlRejectsOpenRowFlagsOtherThanZeroOrOne) {
+  workload::MemctrlOptions gen;
+  gen.num_ranks = 1;
+  gen.banks_per_rank = 2;
+  gen.rounds = 64;
+  gen.seed = 3;
+  auto source = workload::MakeMemctrlSource(gen);
+  for (int k = 0; k < 10; ++k) source->NextRound();
+  // [family][cursor][2 x 4 rng words][on_ count][on_ flags...][stash_...]
+  const std::vector<uint64_t> words =
+      PatchedSourceWords(*source, [](std::span<uint64_t> payload) {
+        ASSERT_EQ(payload[10], 2u);
+        payload[11] = 2;
+      });
+  auto restored = source->Clone();
+  snapshot::Reader r(words);
+  EXPECT_DEATH(restored->LoadState(r), "open-row flag");
 }
 
 }  // namespace
