@@ -84,10 +84,14 @@ struct Cell {
   const char* policy;  // registry name, or "pipeline" for reduce::SolveOnline
   size_t colors;
   uint32_t resources;
+  // Stamped as the cell's alloc_budget (bench_compare.py gates the cell at
+  // it instead of the flat --alloc-budget); negative = no own budget.
+  double alloc_budget;
 };
 
 struct CellResult {
   std::string name;
+  double alloc_budget = -1;
   double rounds_per_sec = 0;
   double jobs_per_sec = 0;
   double steady_allocs_per_round = 0;
@@ -123,6 +127,7 @@ CellResult RunCell(const Cell& cell) {
   CellResult out;
   out.name = std::string(cell.policy) + "/" + std::to_string(cell.colors) +
              "c/" + std::to_string(cell.resources) + "r";
+  out.alloc_budget = cell.alloc_budget;
 
   // Throughput: repeat full runs until the cell has kMinSeconds of samples.
   run_once(inst);  // warm-up (page-in, ring growth)
@@ -159,7 +164,9 @@ CellResult RunCell(const Cell& cell) {
     run_once(instance);
     return g_alloc_count.load(std::memory_order_relaxed) - before;
   };
-  measure(inst_h);  // warm-up
+  // Warm up on the longer run: colors it drops on or recolors first create
+  // their obs counters here, not inside the measured pair.
+  measure(inst_2h);
   const uint64_t allocs_h = measure(inst_h);
   const uint64_t allocs_2h = measure(inst_2h);
   const uint64_t extra = allocs_2h > allocs_h ? allocs_2h - allocs_h : 0;
@@ -173,12 +180,15 @@ CellResult RunCell(const Cell& cell) {
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_engine.json";
 
+  // The engine cells' contract is exactly zero steady-state allocations
+  // (DESIGN §3.5). The pipeline cell keeps the flat budget: its
+  // InstanceBuilder::Build grows with the instance.
   const Cell cells[] = {
-      {"static", 128, 8},
-      {"dlru", 128, 8},
-      {"dlru-edf", 128, 8},
-      {"dlru-edf", 32, 4},
-      {"pipeline", 32, 8},
+      {"static", 128, 8, 0},
+      {"dlru", 128, 8, 0},
+      {"dlru-edf", 128, 8, 0},
+      {"dlru-edf", 32, 4, 0},
+      {"pipeline", 32, 8, -1},
   };
 
   std::vector<CellResult> results;
@@ -203,6 +213,9 @@ int main(int argc, char** argv) {
                  "\"jobs_per_sec\": %.1f, \"steady_allocs_per_round\": %.4f",
                  r.name.c_str(), r.rounds_per_sec, r.jobs_per_sec,
                  r.steady_allocs_per_round);
+    if (r.alloc_budget >= 0) {
+      std::fprintf(f, ", \"alloc_budget\": %.4f", r.alloc_budget);
+    }
     // Informational phase-time breakdown (not gated; bench_compare.py only
     // diffs metrics present in the checked-in baseline).
     for (int p = 0; p < rrs::obs::kNumPhases; ++p) {

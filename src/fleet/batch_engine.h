@@ -3,25 +3,32 @@
 //
 // A slab holds up to `width` (≤ 64) concurrently live replay sessions
 // ("lanes") that advance in lock-step, one round at a time, through the
-// model's four phases. Lanes must agree on the *shape* — color count,
-// resource count, mini-rounds per round, Δ, and the per-color delay-bound
-// layout — which is what lets the slab amortize the lane-invariant work:
+// model's four phases. It is the instance of up to 64 lanes of the one round
+// loop (core/round_loop.h) whose width-1 instance is the scalar Engine:
+// run state, ResourceView, phases, result fill and checkpoint codec are the
+// same code. Lanes must agree on the *shape* — color count, resource count,
+// mini-rounds per round, Δ, and the per-color delay-bound layout — which is
+// what lets the slab amortize the lane-invariant work:
 //
 //  - per-color pending counts live in one SoA table indexed
 //    [color * width + lane], exposed to every lane's policy through the
 //    strided ResourceView fast path;
 //  - expiring deadlines are tracked in one shared timing wheel whose slot
 //    entries are (color, lane) pairs in push order, so round k's drop phase
-//    is a single scan of slot k mod W for the whole slab, and filtering by
-//    lane reproduces the scalar engine's per-lane expiry order exactly;
+//    is a single scan of slot k for the whole slab, and filtering by lane
+//    reproduces the scalar engine's per-lane expiry order exactly;
 //  - execution advances as a masked walk over colors: per color, a lane
-//    bitmask of lanes with resources of that color, each popping
-//    min(resources, pending) jobs;
+//    bitmask of lanes with resources of that color and a backlog, each
+//    popping min(resources, pending) jobs;
 //  - lanes running the stock ΔLRU-EDF policy are handed to the lane-fused
 //    kernel (sched/lane_kernels.h), which shares boundary collection and the
 //    EDF class order across the slab; any other registry policy runs through
 //    its ordinary virtual hooks per lane ("generic" lanes), so the slab
 //    supports every policy.
+//
+// What is the slab's own: shape adoption and LaneCompatible; lane open,
+// close and abort; the stepping and arrival-live masks; fused dispatch; and
+// the occupancy counters.
 //
 // Sessions stay bit-identical to the scalar Engine: per-lane RunResults
 // (cost, drops, telemetry counters), snapshot byte streams, and restore
@@ -43,10 +50,7 @@
 #include "core/cost.h"
 #include "core/engine.h"
 #include "core/instance.h"
-#include "core/job_ring.h"
 #include "core/policy.h"
-#include "obs/scope.h"
-#include "sched/lane_kernels.h"
 #include "snapshot/codec.h"
 #include "workload/arrival_source.h"
 
@@ -55,7 +59,7 @@ namespace fleet {
 
 class BatchEngine {
  public:
-  static constexpr uint32_t kMaxLanes = DlruEdfLaneKernel::kMaxLanes;
+  static constexpr uint32_t kMaxLanes = 64;
 
   explicit BatchEngine(uint32_t width);
   ~BatchEngine();
@@ -66,7 +70,7 @@ class BatchEngine {
   uint32_t width() const { return width_; }
   bool empty() const { return open_mask_ == 0; }
   uint64_t open_mask() const { return open_mask_; }
-  Round next_round() const { return next_round_; }
+  Round next_round() const;
 
   bool lane_open(uint32_t lane) const {
     return (open_mask_ >> lane & 1) != 0;
@@ -103,14 +107,12 @@ class BatchEngine {
   // round 0 for reuse.
   void FinishLane(uint32_t lane, RunResult& result);
 
-  // Abandons an open lane mid-run (its wheel entries are ignored from then
-  // on).
+  // Abandons an open lane mid-run (its wheel entries are scrubbed).
   void AbortLane(uint32_t lane);
 
   // Serializes the lane's run state in Engine::SnapshotRun's exact byte
-  // format (shared-wheel entries are remapped into the scalar per-lane wheel
-  // layout), so a lane snapshot restores into a scalar Engine and vice
-  // versa.
+  // format (the one codec of core/round_loop.h), so a lane snapshot restores
+  // into a scalar Engine and vice versa.
   void SnapshotLane(uint32_t lane, snapshot::Writer& w) const;
 
   // Opens lane `lane` from a scalar-format snapshot. The snapshot's round
@@ -142,100 +144,23 @@ class BatchEngine {
   uint64_t generic_lane_opens() const { return generic_lane_opens_; }
 
  private:
-  struct Lane;
-  class LaneView;
+  // The slab's lane set over core/round_loop.h, with the fused kernel.
+  struct Slab;
 
-  struct WheelEntry {
-    ColorId color;
-    uint32_t lane;
-  };
-
-  // Binds the slab's shape arrays (pending SoA, wheel, kernel) to a new
-  // shape. Only legal while the slab is empty.
-  void AdoptShape(const Instance& instance, const EngineOptions& options);
-
-  // Shared lane initialization for OpenLane and RestoreLane: binds the
-  // tenant (source == nullptr means instance-fed via the lane's own
-  // InstanceSource), clears the lane's arena and resets the policy.
-  void InitLane(uint32_t lane, const Instance& shape,
-                workload::ArrivalSource* source, const EngineOptions& options,
-                SchedulerPolicy& policy);
-
-  // Shared tail of the two OpenLane overloads (fused-kernel binding).
-  void BindOpenedLane(uint32_t lane, SchedulerPolicy& policy);
-  // Shared body of the two RestoreLane overloads.
-  void RestoreLaneImpl(uint32_t lane, snapshot::Reader& r,
-                       snapshot::Reader* source_state);
-
+  // Shared body of the OpenLane and RestoreLane overloads: adopts the shape
+  // of an empty slab, opens the lane's run (source == nullptr means
+  // instance-fed via the lane's own InstanceSource), restores it from `r`
+  // when given, and binds ΔLRU-EDF lanes to the fused kernel.
+  void Open(uint32_t lane, const Instance& shape,
+            workload::ArrivalSource* source, const EngineOptions& options,
+            SchedulerPolicy& policy, snapshot::Reader* r,
+            snapshot::Reader* source_state);
   // Releases a lane and, when it was the last one, resets the slab.
   void CloseLane(uint32_t lane);
 
-  void DropPhase(Round k, uint64_t stepping);
-  void ArrivalPhase(Round k, uint64_t stepping);
-  void ReconfigPhase(Round k, int mini, uint64_t stepping);
-  void ExecPhase(uint64_t stepping);
-
   uint32_t width_ = 0;
   uint64_t open_mask_ = 0;
-  uint64_t fused_mask_ = 0;
-  Round next_round_ = 0;
-
-  // Slab shape (valid while any lane is open; retained for capacity reuse).
-  size_t num_colors_ = 0;
-  uint32_t num_resources_ = 0;
-  int mini_rounds_ = 1;
-  uint64_t delta_ = 1;
-  std::vector<Round> delay_bounds_;
-  Round max_delay_ = 1;
-
-  std::vector<Lane> lanes_;  // by value: the hot phases index it per entry
-  std::vector<std::unique_ptr<LaneView>> views_;
-  std::vector<ResourceView*> view_ptrs_;
-
-  // SoA state indexed [color * width_ + lane].
-  std::vector<uint64_t> pending_;
-  std::vector<uint32_t> colored_count_;  // resources per (color, lane)
-  // Lanes with at least one resource of the color.
-  std::vector<uint64_t> colored_bits_;
-  // Lanes with pending jobs of the color (pending_[c][lane] != 0): the
-  // execution phase intersects it with colored_bits_, so drained
-  // (color, lane) pairs cost nothing — the dominant case late in a session.
-  std::vector<uint64_t> backlog_bits_;
-
-  // Shared timing wheel: slot (k mod size) holds the slab-wide expiries of
-  // round k, appended in push order (arrival phases run lanes in ascending
-  // lane order, so the per-lane subsequence equals the scalar push order).
-  // The effective slot count (wheel_mask_ + 1) is max_delay_+1 rounded up to
-  // a power of two, so the per-arrival slot index is a mask, not a division;
-  // wheel_ itself is grow-only and may be larger than the effective size.
-  std::vector<std::vector<WheelEntry>> wheel_;
-  uint64_t wheel_mask_ = 0;
-
-  // StepRounds scratch: (horizon, lane bit) expiries, sorted ascending, so
-  // the per-round stepping mask updates incrementally instead of rescanning
-  // every open lane each round. arrival_scratch_ does the same for the last
-  // arrival round of fused lanes: once a fused lane drains past it, its
-  // arrival phase is a proven no-op and the lane is masked out of it.
-  std::vector<std::pair<Round, uint64_t>> expiry_scratch_;
-  std::vector<std::pair<Round, uint64_t>> arrival_scratch_;
-
-  // Bumped once per reconfiguration phase; LaneView compacts its nonidle
-  // list lazily when its seen epoch is behind (replaces a per-lane
-  // invalidation loop per mini-round).
-  uint64_t phase_epoch_ = 0;
-
-  std::vector<JobId> dropped_scratch_;  // wrapped drop spans only
-  // SnapshotLane scratch: lane wheel slots rebuilt from the shared wheel.
-  mutable std::vector<std::vector<ColorId>> snap_slots_;
-  std::vector<ColorId> snap_colors_scratch_;  // RestoreLane slot reads
-
-  DlruEdfLaneKernel kernel_;
-
-  // One instruments block for the whole slab. Lanes never record a phase
-  // sample (no per-run obs scope), so every lane's block would stay empty:
-  // each lane open rebinds this one and each lane finish folds it, leaving
-  // telemetry unchanged without a ~16 KB block per lane.
-  obs::RunInstruments instruments_;
+  std::unique_ptr<Slab> slab_;
 
   uint64_t lane_rounds_ = 0;
   uint64_t slab_rounds_ = 0;

@@ -23,18 +23,10 @@ void Scope::Absorb(const Telemetry& telemetry, const LogHistogram* phase_ns) {
   registry_.counter("engine.executed").Add(telemetry.executed);
   registry_.counter("engine.drops").Add(telemetry.drops);
   registry_.counter("engine.reconfigs").Add(telemetry.reconfigs);
-  for (size_t c = 0; c < telemetry.drops_per_color.size(); ++c) {
-    if (telemetry.drops_per_color[c] != 0) {
-      registry_.counter("engine.drops.color" + std::to_string(c))
-          .Add(telemetry.drops_per_color[c]);
-    }
-  }
-  for (size_t c = 0; c < telemetry.reconfigs_per_color.size(); ++c) {
-    if (telemetry.reconfigs_per_color[c] != 0) {
-      registry_.counter("engine.reconfigs.color" + std::to_string(c))
-          .Add(telemetry.reconfigs_per_color[c]);
-    }
-  }
+  AbsorbPerColor(telemetry.drops_per_color, "engine.drops.color",
+                 drops_by_color_);
+  AbsorbPerColor(telemetry.reconfigs_per_color, "engine.reconfigs.color",
+                 reconfigs_by_color_);
   if (phase_ns != nullptr) {
     for (int p = 0; p < kNumPhases; ++p) {
       if (phase_ns[p].count() != 0) {
@@ -47,6 +39,19 @@ void Scope::Absorb(const Telemetry& telemetry, const LogHistogram* phase_ns) {
     // Policy counters are per-run totals; summing across runs matches the
     // counter semantics of every exporter we feed.
     registry_.counter("policy." + name).Add(static_cast<uint64_t>(value));
+  }
+}
+
+void Scope::AbsorbPerColor(const std::vector<uint64_t>& counts,
+                           const char* prefix,
+                           std::vector<Counter*>& handles) {
+  if (handles.size() < counts.size()) handles.resize(counts.size(), nullptr);
+  for (size_t c = 0; c < counts.size(); ++c) {
+    if (counts[c] == 0) continue;
+    if (handles[c] == nullptr) {
+      handles[c] = &registry_.counter(prefix + std::to_string(c));
+    }
+    handles[c]->Add(counts[c]);
   }
 }
 

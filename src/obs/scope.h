@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/types.h"
 #include "obs/level.h"
@@ -89,9 +90,19 @@ class Scope {
   std::string SummaryLine() const;
 
  private:
+  // Adds counts[c] to the `prefix`c counter for every nonzero c, through
+  // handles[c], created on the color's first nonzero count. The handles make
+  // absorbing a run allocation-free once its colors have been seen.
+  void AbsorbPerColor(const std::vector<uint64_t>& counts, const char* prefix,
+                      std::vector<Counter*>& handles);
+
   Options options_;
   mutable std::mutex mutex_;
   Registry registry_;
+  // engine.{drops,reconfigs}.color<c> handles; Registry references are
+  // stable for its lifetime.
+  std::vector<Counter*> drops_by_color_;
+  std::vector<Counter*> reconfigs_by_color_;
   uint64_t next_run_id_ = 0;
   uint64_t runs_absorbed_ = 0;
 };
@@ -128,7 +139,6 @@ class RunInstruments {
   // its instrument block.
   void Rebind(Scope* scope, const char* engine_name);
 
-  bool active() const { return scope_ != nullptr; }
   bool tracing() const { return tracer_ != nullptr; }
 
   // Whether round k's phase boundaries should take timestamps.
@@ -158,8 +168,6 @@ class RunInstruments {
     }
   }
 
-  const LogHistogram* phase_histograms() const { return phase_ns_; }
-
   // Fills telemetry's phase summaries and folds the run into the scope (if
   // any). Call once, after the telemetry counters are populated.
   void Finalize(Telemetry& telemetry);
@@ -179,7 +187,6 @@ class RunInstruments {
   RunInstruments() = default;
   RunInstruments(Scope*, const char*) {}
   void Rebind(Scope*, const char*) {}
-  static constexpr bool active() { return false; }
   static constexpr bool tracing() { return false; }
   static constexpr bool ShouldSample(Round) { return false; }
   void RecordPhase(int, Round, uint64_t, uint64_t) {}

@@ -219,22 +219,24 @@ class Reader {
 
   template <typename T>
   void GetVec(std::vector<T>& out) {
-    const uint64_t n = GetU64();
-    RRS_CHECK(section_end_ != kNone && n <= section_end_ - pos_)
-        << "snapshot span overruns section";
-    out.clear();
-    out.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      if constexpr (sizeof(T) == 8) {
-        out.push_back(static_cast<T>(GetU64()));
-      } else {
-        const uint64_t v = GetU64();
-        const T narrowed = static_cast<T>(v);
-        RRS_CHECK_EQ(static_cast<uint64_t>(narrowed), v)
+    const std::span<const uint64_t> words = GetWords(GetU64());
+    out.resize(words.size());
+    for (size_t i = 0; i < words.size(); ++i) {
+      out[i] = static_cast<T>(words[i]);
+      if constexpr (sizeof(T) < 8) {
+        RRS_CHECK_EQ(static_cast<uint64_t>(out[i]), words[i])
             << "snapshot narrow value overflow";
-        out.push_back(narrowed);
       }
     }
+  }
+
+  // Consumes the next n words of the open section.
+  std::span<const uint64_t> GetWords(uint64_t n) {
+    RRS_CHECK(section_end_ != kNone && n <= section_end_ - pos_)
+        << "snapshot span overruns section";
+    const std::span<const uint64_t> words = words_.subspan(pos_, n);
+    pos_ += n;
+    return words;
   }
 
   // Words left in the open section: a bound for counts read before the

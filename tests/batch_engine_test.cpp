@@ -370,6 +370,51 @@ TEST(BatchSnapshotDeath, RestoreLaneRejectsOutOfRangeNonidleColor) {
                "nonidle color out of range");
 }
 
+TEST(BatchSnapshotDeath, RestoreLaneRejectsRingDeadlinesOutsideTheLiveWindow) {
+  // The lane restore runs the same codec checks as Engine::RestoreRun: ring
+  // deadlines shifted out of [k, k + D_c - 1] (checksum re-sealed) die in
+  // RestoreLane instead of leaving jobs that never expire.
+  workload::PoissonOptions gen;
+  gen.rounds = 64;
+  gen.seed = 5;
+  const Instance instance =
+      MakePoisson({{4, 2.5}, {8, 2.5}, {16, 2.5}}, gen);
+  const EngineOptions options = BatchOptions(4, 2);
+  constexpr Round kCut = 20;
+
+  Engine engine(instance, options);
+  auto policy = MakePolicy("dlru-edf");
+  engine.BeginRun(*policy);
+  engine.StepRounds(kCut);
+  snapshot::Writer w;
+  engine.SnapshotRun(w);
+  engine.AbortRun();
+
+  // [magic][version][tag][payload words][checksum], then the engine payload:
+  // colors, resources, round, resource colors, then color 0's ring: its
+  // count, its job ids and its deadlines.
+  constexpr size_t kPayload = 5;
+  ASSERT_EQ(w.words()[2], snapshot::kTagEngine);
+  const size_t ring_at = kPayload + 3 + 1 + options.num_resources;
+  const uint64_t jobs = w.words()[ring_at];
+  ASSERT_GE(jobs, 1u) << "color 0 has nothing pending at the cut";
+  for (const int64_t shift : {-5, 3}) {
+    std::vector<uint64_t> words = w.words();
+    for (uint64_t i = 0; i < jobs; ++i) {
+      const size_t at = ring_at + 1 + jobs + i;
+      words[at] = static_cast<uint64_t>(static_cast<Round>(words[at]) + shift);
+    }
+    words[4] = snapshot::FnvWords(
+        std::span<const uint64_t>(words).subspan(kPayload, words[3]));
+    fleet::BatchEngine slab(8);
+    auto lane_policy = MakePolicy("dlru-edf");
+    snapshot::Reader r(words);
+    EXPECT_DEATH(slab.RestoreLane(0, instance, options, *lane_policy, r),
+                 "ring deadline")
+        << "shift " << shift;
+  }
+}
+
 // ---- FleetRunner batched path, 0/1/2/8 threads ---------------------------
 
 class BatchFleetDifferential : public ::testing::TestWithParam<size_t> {};

@@ -25,7 +25,9 @@ Fails (exit 1) when any benchmark cell in CURRENT:
   * exceeds the steady-state allocation budget (allocations per round in
     steady state; gated only for cells whose baseline records
     steady_allocs_per_round — the engine bench does, the solver bench has no
-    per-round allocation contract), or
+    per-round allocation contract). The budget is the current cell's own
+    "alloc_budget" field when present (the bench binary stamps 0 on cells
+    whose contract is exact), falling back to --alloc-budget, or
   * is a batched fleet cell (records "scalar_ref": the name of its scalar
     twin in the same report) whose rounds_per_sec falls below its required
     speedup times the scalar twin's rounds_per_sec. The required speedup is
@@ -106,7 +108,9 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="max allowed fractional throughput regression")
     parser.add_argument("--alloc-budget", type=float, default=0.05,
-                        help="max steady-state allocations per round")
+                        help="max steady-state allocations per round; a "
+                             "cell's own alloc_budget field overrides this "
+                             "default")
     parser.add_argument("--min-batched-speedup", type=float, default=2.0,
                         help="min rounds_per_sec ratio a batched fleet cell "
                              "must hold over its scalar_ref row (same "
@@ -189,15 +193,22 @@ def main():
                 print(f"{name:28s} {'allocs/round':16s} present")
                 continue
             allocs = cur["steady_allocs_per_round"]
+            budget = cur.get("alloc_budget", args.alloc_budget)
+            try:
+                budget = float(budget)
+            except (TypeError, ValueError):
+                failures.append(
+                    f"{name}: alloc_budget {budget!r} is not a number")
+                continue
             status = "ok"
-            if allocs > args.alloc_budget:
+            if allocs > budget:
                 status = "OVER BUDGET"
                 failures.append(
                     f"{name}: steady_allocs_per_round over budget — "
                     f"current {allocs:.4f} allocs/round vs budget "
-                    f"{args.alloc_budget:.4f} allocs/round")
+                    f"{budget:.4f} allocs/round")
             print(f"{name:28s} {'allocs/round':16s} {allocs:14.4f} "
-                  f"(budget {args.alloc_budget}) {status}")
+                  f"(budget {budget}) {status}")
 
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:24s} new cell (not in baseline), skipped")

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import tempfile
 import unittest
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -152,6 +153,93 @@ class SummaryTest(unittest.TestCase):
         self.assertIn("failed share rose", text)
         ok, _ = self.summarize(parent, [result(100, 10.0)] * 4)
         self.assertTrue(ok)
+
+
+class GateTest(unittest.TestCase):
+    def test_sign_test_thresholds(self):
+        self.assertEqual(ab_perf.sign_test_threshold(10), 9)
+        self.assertEqual(ab_perf.sign_test_threshold(15), 12)
+        # Too few pairs to ever reach 5%: every pair lost is not enough.
+        self.assertEqual(ab_perf.sign_test_threshold(4), 5)
+
+    def test_direction_by_suffix(self):
+        self.assertEqual(ab_perf.field_direction("rounds_per_sec"), "higher")
+        self.assertEqual(ab_perf.field_direction("snapshots_per_sec"),
+                         "higher")
+        self.assertEqual(ab_perf.field_direction("simulate_ms"), "lower")
+        self.assertEqual(ab_perf.field_direction("snapshot_restore_ms"),
+                         "lower")
+        self.assertEqual(ab_perf.field_direction("steady_allocs_per_round"),
+                         "exact")
+        self.assertEqual(ab_perf.field_direction("snapshot_words"), "exact")
+        self.assertIsNone(ab_perf.field_direction("phase_drop_p50_ns"))
+        self.assertIsNone(ab_perf.field_direction("snapshot_overhead_pct"))
+
+    def test_slower_needs_the_sign_test_and_the_quartile(self):
+        parent = [100 + i for i in range(10)]  # Q1 102.25
+        # Lost 9 of 10, median 101.5 below the parent's Q1: slower.
+        change = [v - 4 for v in parent]
+        change[0] = 200
+        self.assertEqual(ab_perf.pairs_lost(parent, change, "higher"), 9)
+        self.assertEqual(ab_perf.gate_verdict(parent, change, "higher"),
+                         "slower")
+        # Lost 8 of 10: the sign test does not fire.
+        change[1] = 200
+        self.assertEqual(ab_perf.gate_verdict(parent, change, "higher"), "ok")
+        # Lost every pair, but by a hair: the median stays inside the
+        # parent's quartiles.
+        change = [v - 0.5 for v in parent]
+        self.assertEqual(ab_perf.pairs_lost(parent, change, "higher"), 10)
+        self.assertEqual(ab_perf.gate_verdict(parent, change, "higher"), "ok")
+
+    def test_slower_at_fifteen_pairs_and_for_lower_is_better(self):
+        parent = [10.0 + 0.1 * i for i in range(15)]  # Q3 11.05
+        change = [v + 1.0 for v in parent]
+        change[:4] = [1.0] * 4  # 11 of 15 lost: below the 12 needed
+        self.assertEqual(ab_perf.pairs_lost(parent, change, "lower"), 11)
+        self.assertEqual(ab_perf.gate_verdict(parent, change, "lower"), "ok")
+        change[3] = parent[3] + 1.0  # 12 of 15
+        self.assertEqual(ab_perf.gate_verdict(parent, change, "lower"),
+                         "slower")
+        # Ties are no loss.
+        self.assertEqual(ab_perf.pairs_lost(parent, parent, "lower"), 0)
+
+    def summarize(self, parent_rate, change_rate, change_allocs=0.0):
+        def run(rate, allocs, i):
+            return {"static/128c/8r": {
+                "rounds_per_sec": rate + i, "steady_allocs_per_round": allocs,
+                "alloc_budget": 0.0, "phase_drop_p50_ns": 5.0}}
+        reports = {
+            "parent": [run(parent_rate, 0.0, i) for i in range(10)],
+            "change": [run(change_rate, change_allocs, i) for i in range(10)]}
+        out = io.StringIO()
+        ok = ab_perf.summarize_gate("bench_baseline", reports, out)
+        return ok, out.getvalue()
+
+    def test_gate_table_reports_quartiles_ratio_losses_and_exact_fields(self):
+        ok, text = self.summarize(100, 50)
+        self.assertFalse(ok)
+        self.assertIn("10 pairs, slower at >= 9 lost", text)
+        self.assertIn("104.5 [102.2, 106.8]", text)
+        self.assertIn("0.522x", text)
+        self.assertIn(" 10/10  slower", text)
+        self.assertIn("equal", text)
+        self.assertNotIn("phase_drop_p50_ns", text)
+        self.assertNotIn("alloc_budget", text)
+        ok, text = self.summarize(100, 100, change_allocs=0.0015)
+        self.assertTrue(ok)
+        self.assertIn("  0/10  ok", text)
+        self.assertIn("changed", text)
+
+    def test_gate_reports_load_by_cell_name(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            with open(path, "w") as f:
+                json.dump({"benchmarks": [
+                    {"name": "a", "rounds_per_sec": 1.0},
+                    {"name": "b", "snapshot_words": 569}]}, f)
+            self.assertEqual(ab_perf.load_gate_report(path), {
+                "a": {"rounds_per_sec": 1.0}, "b": {"snapshot_words": 569}})
 
 
 if __name__ == "__main__":

@@ -130,6 +130,31 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("OVER BUDGET", proc.stdout)
 
+    def test_cell_alloc_budget_overrides_the_flat_budget(self):
+        # A cell stamped with its own budget is gated at it, not at the flat
+        # --alloc-budget: 0.002 passes the flat 0.05 but not a budget of 0.
+        base = report([cell("dlru/128c/8r", allocs=0.0),
+                       cell("pipeline/32c/8r", allocs=0.0)])
+        cur = report([cell("dlru/128c/8r", allocs=0.002, alloc_budget=0),
+                      cell("pipeline/32c/8r", allocs=0.048)])
+        proc = self.run_compare(base, cur)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("dlru/128c/8r: steady_allocs_per_round over budget",
+                      proc.stderr)
+        self.assertIn("budget 0.0000 allocs/round", proc.stderr)
+        self.assertNotIn("pipeline/32c/8r", proc.stderr)
+        cur = report([cell("dlru/128c/8r", allocs=0.0, alloc_budget=0),
+                      cell("pipeline/32c/8r", allocs=0.048)])
+        proc = self.run_compare(base, cur)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+    def test_cell_alloc_budget_non_numeric_fails_cleanly(self):
+        base = report([cell("dlru/128c/8r", allocs=0.0)])
+        cur = report([cell("dlru/128c/8r", allocs=0.0, alloc_budget="none")])
+        proc = self.run_compare(base, cur)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("alloc_budget 'none' is not a number", proc.stderr)
+
     def test_missing_cell_fails(self):
         base = report([cell("dlru/128c/8r"), cell("static/128c/8r")])
         cur = report([cell("dlru/128c/8r")])
