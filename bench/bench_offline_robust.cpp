@@ -105,7 +105,7 @@ CellResult RunRobust(const std::string& name,
   const double kMinSeconds = SmokeMode() ? 0.0 : 0.3;
   CellResult out;
   out.name = name;
-  rrs::offline::RobustOptions options;
+  rrs::offline::OptimalOptions options;
   options.num_resources = m;
   options.cost_model.delta = delta;
   auto solve = [&] {

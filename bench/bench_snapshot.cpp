@@ -11,8 +11,8 @@
 //   snapshot_overhead_pct snapshot_restore_ms / simulate_ms * 100
 //   snapshot_words        serialized size of the checkpoint (u64 words)
 //
-// The binary self-enforces the checkpoint contract that makes chaos-mode
-// fleet scheduling viable: one snapshot+restore cycle of a 10k-round
+// The binary self-enforces the checkpoint contract that makes migrating
+// and failing over fleet tenants viable: one snapshot+restore cycle of a 10k-round
 // session must cost < 5% of simulating the session outright (exit 1
 // otherwise). tools/bench_compare.py additionally diffs the report against
 // the checked-in bench/BENCH_snapshot.json and fails on a
@@ -120,7 +120,7 @@ CellResult RunCell(const Cell& cell) {
   // Snapshot+restore cycles of a mid-run session: checkpoint the donor's
   // open run, restore it into a second warm engine, tear the restored run
   // back down. Buffers are reused so the steady-state cycle is what a warm
-  // chaos fleet pays per fault.
+  // fleet pays per migration or failover.
   engine.BeginRun(policy);
   engine.StepRounds(cell.checkpoint);
   rrs::Engine target(instance, options);
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
 
   // The headline cell is the acceptance contract: a 10k-round session
   // checkpointed mid-run. The small cell tracks the fixed per-cycle cost
-  // that dominates short chaos-fleet tenants.
+  // that dominates short migrated tenants.
   const Cell cells[] = {
       {"snapshot/10k-rounds/16c", 10000, 5000, 16},
       {"snapshot/256-rounds/16c", 256, 128, 16},

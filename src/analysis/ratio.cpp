@@ -99,7 +99,7 @@ RobustRatioReport MeasureRobustRatio(const workload::UncertainInstance& set,
                                      uint64_t online_cost, uint32_t m,
                                      const CostModel& model,
                                      uint64_t max_states) {
-  offline::RobustOptions options;
+  offline::OptimalOptions options;
   options.num_resources = m;
   options.cost_model = model;
   options.max_states = max_states;

@@ -131,8 +131,8 @@ class Engine {
 
   // Mid-run accumulators (valid while a run is open): the cost and execution
   // count over the rounds simulated so far, and color c's pending jobs.
-  // Golden-trace tests hash these per round; ChaosFleetRunner reads them for
-  // its progress counters; reduce::OnlineSolver derives a round's executions
+  // Golden-trace tests hash these per round; fleet::TickCore reports them
+  // as tenant progress; reduce::OnlineSolver derives a round's executions
   // from the pending counts.
   const CostBreakdown& run_cost() const;
   uint64_t run_executed() const;

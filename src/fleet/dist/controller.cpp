@@ -291,6 +291,16 @@ void DistController::ScheduleShed(uint64_t tick, uint64_t tenant) {
   sheds_.push_back({tick, tenant});
 }
 
+void DistController::ObserveSlo(Tenant& tenant, uint64_t rounds,
+                                uint64_t misses) {
+  // High-water guard: a failover-rewound tenant re-reports rounds the
+  // tracker has already counted; observing them again would double-count
+  // (and wrap the tracker's unsigned deltas).
+  if (slo_ == nullptr || rounds <= tenant.slo_hw) return;
+  slo_->Observe(0, tenant.spec.tenant, rounds, misses);
+  tenant.slo_hw = rounds;
+}
+
 void DistController::ProcessTickReport(WorkerHandle& worker,
                                        std::vector<RunResult>& results) {
   snapshot::Reader reader(recv_scratch_);
@@ -306,14 +316,7 @@ void DistController::ProcessTickReport(WorkerHandle& worker,
   // its last per-round trace rows in this same report, and the digest's
   // completion epilogue must come after them.
   for (const TenantProgress& row : report.slo) {
-    Tenant& tenant = tenants_[row.tenant];
-    // High-water guard: a failover-rewound tenant re-reports rounds the
-    // tracker has already counted; observing them again would double-count
-    // (and wrap the tracker's unsigned deltas).
-    if (slo_ != nullptr && row.rounds > tenant.slo_hw) {
-      slo_->Observe(0, row.tenant, row.rounds, row.misses);
-      tenant.slo_hw = row.rounds;
-    }
+    ObserveSlo(tenants_[row.tenant], row.rounds, row.misses);
   }
   if (options_.trace_digests) {
     for (const TraceRow& row : report.trace) {
@@ -531,6 +534,13 @@ bool DistController::ShedTenant(uint64_t tenant_id) {
   const ShedInfo info = GetShedInfo(reader);
   RRS_CHECK(info.state != kTenantMissing)
       << "shed: tenant " << tenant_id << " not on worker " << worker.index;
+  if (slo_ != nullptr) {
+    // Observe up to the cut, then retire the tenant: /tenants, the gauges
+    // and the burn valve must stop counting a tenant that no longer runs.
+    ObserveSlo(tenant, info.rounds, info.misses);
+    slo_->Retire(0, tenant_id);
+    slo_->Publish(0);
+  }
   tenant.phase = Phase::kShed;
   tenant.has_checkpoint = false;
   tenant.checkpoint.words.clear();
@@ -545,15 +555,12 @@ void DistController::Shutdown() {
   for (WorkerHandle& worker : workers_) {
     if (!worker.alive) continue;
     send_scratch_.Clear();
-    // Best-effort: a crashed worker just fails the send.
+    // Best-effort: wait for the header-only Bye; a crashed worker just
+    // fails the send or the read.
     if (net::SendFrame(worker.fd, kMsgShutdown, send_scratch_.words())) {
       uint64_t type = 0;
-      if (net::RecvFrame(worker.fd, &type, &recv_scratch_,
-                         net::Deadline::In(options_.io_timeout_ms)) &&
-          type == kMsgBye) {
-        snapshot::Reader reader(recv_scratch_);
-        (void)GetWorkerStats(reader);
-      }
+      (void)net::RecvFrame(worker.fd, &type, &recv_scratch_,
+                           net::Deadline::In(options_.io_timeout_ms));
     }
     ::close(worker.fd);
     worker.fd = -1;

@@ -34,7 +34,8 @@
 //               deterministic re-execution makes results bit-identical;
 //   shedding    scripted or burn-driven (shed_burn_threshold): tenants
 //               whose SLO window burn exceeds the threshold are aborted at
-//               the barrier — the admission-control overload valve.
+//               the barrier and retired from the SLO tracker — the
+//               admission-control overload valve.
 //
 // Determinism: worker count, thread counts, and tick pacing never change
 // per-tenant results; the scripted event APIs (ScheduleMigration /
@@ -192,6 +193,8 @@ class DistController {
   void SendTo(WorkerHandle& worker, uint64_t type);
   void Expect(WorkerHandle& worker, uint64_t want);
   size_t LeastOutstandingAlive(size_t exclude) const;
+  // Feeds the SLO tracker one cumulative progress row, behind slo_hw.
+  void ObserveSlo(Tenant& tenant, uint64_t rounds, uint64_t misses);
   void ProcessTickReport(WorkerHandle& worker, std::vector<RunResult>& results);
   bool MigrateTenant(uint64_t tenant, size_t target);
   void KillWorker(size_t worker);

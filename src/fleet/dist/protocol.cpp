@@ -470,28 +470,6 @@ ShedInfo GetShedInfo(snapshot::Reader& r) {
   return info;
 }
 
-void PutWorkerStats(snapshot::Writer& w, const WorkerStats& stats) {
-  w.BeginSection(snapshot::kTagDistMsg);
-  w.PutU64(stats.ticks);
-  w.PutU64(stats.sessions_completed);
-  w.PutU64(stats.rounds_stepped);
-  w.PutU64(stats.restores);
-  w.PutU64(stats.snapshots);
-  w.EndSection();
-}
-
-WorkerStats GetWorkerStats(snapshot::Reader& r) {
-  WorkerStats stats;
-  r.BeginSection(snapshot::kTagDistMsg);
-  stats.ticks = r.GetU64();
-  stats.sessions_completed = r.GetU64();
-  stats.rounds_stepped = r.GetU64();
-  stats.restores = r.GetU64();
-  stats.snapshots = r.GetU64();
-  r.EndSection();
-  return stats;
-}
-
 }  // namespace dist
 }  // namespace fleet
 }  // namespace rrs

@@ -42,12 +42,15 @@ namespace dist {
 // instances.
 // v3: WireConfig drops the worker-internal thread count (a worker runs one
 // fleet::TickCore; worker processes provide the parallelism).
-inline constexpr uint64_t kProtocolVersion = 3;
+// v4: the bodies the controller never read are gone: Bye, RestoreAck and
+// the ConfigAck replies to AddInstances/AddTenants/AddSources are
+// header-only frames.
+inline constexpr uint64_t kProtocolVersion = 4;
 
 enum MsgType : uint64_t {
   kMsgHello = 1,           // worker -> ctl: index, pid, protocol, metrics port
   kMsgConfig = 2,          // ctl -> worker: WireConfig
-  kMsgConfigAck = 3,       // worker -> ctl
+  kMsgConfigAck = 3,       // worker -> ctl: Hello body to Config, else empty
   kMsgAddInstances = 4,    // ctl -> worker: deduplicated instance table slice
   kMsgAddTenants = 5,      // ctl -> worker: TenantSpec batch
   kMsgTick = 6,            // ctl -> worker (broadcast): advance one tick
@@ -55,11 +58,11 @@ enum MsgType : uint64_t {
   kMsgSnapshotTenant = 8,  // ctl -> worker: quiesced tenant -> checkpoint
   kMsgTenantSnapshot = 9,  // worker -> ctl: the checkpoint words
   kMsgRestoreTenant = 10,  // ctl -> worker: checkpoint words -> live session
-  kMsgRestoreAck = 11,     // worker -> ctl
+  kMsgRestoreAck = 11,     // worker -> ctl: empty
   kMsgShedTenant = 12,     // ctl -> worker: abort and discard a tenant
   kMsgShedAck = 13,        // worker -> ctl: partial progress at the cut
   kMsgShutdown = 14,       // ctl -> worker
-  kMsgBye = 15,            // worker -> ctl: final stats
+  kMsgBye = 15,            // worker -> ctl: empty
   kMsgAddSources = 16,     // ctl -> worker: deduplicated GeneratorSpec table
 };
 
@@ -171,15 +174,6 @@ struct ShedInfo {
   uint64_t misses = 0;
 };
 
-// kMsgBye body: worker lifetime totals.
-struct WorkerStats {
-  uint64_t ticks = 0;
-  uint64_t sessions_completed = 0;
-  uint64_t rounds_stepped = 0;
-  uint64_t restores = 0;
-  uint64_t snapshots = 0;
-};
-
 // Everything a worker reports at one tick barrier.
 struct TickReport {
   uint64_t tick = 0;
@@ -251,9 +245,6 @@ void GetSnapshotReply(snapshot::Reader& r, SnapshotReply* out);
 
 void PutShedInfo(snapshot::Writer& w, const ShedInfo& info);
 ShedInfo GetShedInfo(snapshot::Reader& r);
-
-void PutWorkerStats(snapshot::Writer& w, const WorkerStats& stats);
-WorkerStats GetWorkerStats(snapshot::Reader& r);
 
 }  // namespace dist
 }  // namespace fleet

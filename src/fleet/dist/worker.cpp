@@ -112,7 +112,6 @@ class Worker {
           break;
         case kMsgShutdown:
           reply_.Clear();
-          PutWorkerStats(reply_, stats_);
           Send(kMsgBye);
           return 0;
         default:
@@ -190,14 +189,12 @@ class Worker {
       (void)it;
     }
     reply_.Clear();
-    PutTenantId(reply_, decoded.size());
     Send(kMsgConfigAck);
   }
 
   void HandleAddTenants(snapshot::Reader& reader) {
     GetTenantSpecs(reader, &waiting_);
     reply_.Clear();
-    PutTenantId(reply_, waiting_.size());
     Send(kMsgConfigAck);
   }
 
@@ -210,7 +207,6 @@ class Worker {
       (void)it;
     }
     reply_.Clear();
-    PutTenantId(reply_, decoded.size());
     Send(kMsgConfigAck);
   }
 
@@ -296,10 +292,6 @@ class Worker {
     std::sort(report.checkpoints.begin(), report.checkpoints.end(),
               by_tenant);
 
-    ++stats_.ticks;
-    stats_.rounds_stepped += report.rounds_stepped;
-    stats_.sessions_completed += report.completed.size();
-    stats_.snapshots += report.checkpoints.size();
     if (scope_ != nullptr) {
       const std::pair<std::string_view, uint64_t> counters[] = {
           {"dist.worker.ticks", 1},
@@ -342,7 +334,6 @@ class Worker {
           static_cast<uint64_t>(core_->engine(*live).next_round());
       core_->Evict(*live, &snapshot_scratch_);
       out.checkpoint.words = snapshot_scratch_.words();
-      ++stats_.snapshots;
     } else if (DropWaiting(tenant)) {
       out.state = kTenantWaiting;
     }
@@ -359,11 +350,9 @@ class Worker {
     TenantCheckpoint checkpoint;
     GetCheckpoint(reader, &checkpoint);
     RRS_CHECK_EQ(specs[0].tenant, checkpoint.tenant);
-    // Restores are exempt from the live cap (same rule as ChaosFleetRunner).
+    // Restores are exempt from the live cap (TickCore::Restore).
     core_->Restore(specs[0].tenant, JobOf(specs[0]), checkpoint.words);
-    ++stats_.restores;
     reply_.Clear();
-    PutTenantId(reply_, specs[0].tenant);
     Send(kMsgRestoreAck);
   }
 
@@ -396,7 +385,6 @@ class Worker {
   std::vector<TenantSpec> waiting_;  // admission order
   std::unique_ptr<obs::Scope> scope_;
   std::unique_ptr<obs::ExportServer> exporter_;
-  WorkerStats stats_;
   snapshot::Writer reply_;
   snapshot::Writer snapshot_scratch_;
 };

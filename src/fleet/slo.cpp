@@ -10,8 +10,8 @@ namespace rrs {
 namespace fleet {
 
 // Per-tenant rolling-window state. Written only by the worker hosting the
-// tenant for the current tick (tick barriers order cross-worker handoffs
-// when chaos migrates a tenant).
+// tenant for the current tick (tick barriers order any handoff between
+// shards).
 struct SloTracker::TenantSlot {
   uint64_t last_rounds = 0;   // cumulative marks: Observe works on deltas
   uint64_t last_misses = 0;
@@ -95,7 +95,7 @@ void SloTracker::UpdateTop(ShardState& shard, TenantSlot& slot,
         return;
       }
     }
-    // Listed on another shard (chaos migration); fall through to this
+    // Listed on another shard (the tenant moved); fall through to this
     // shard's insert path, same as the scan-miss always did.
     if (window_misses == 0) return;
   }
@@ -119,8 +119,9 @@ void SloTracker::UpdateTop(ShardState& shard, TenantSlot& slot,
     }
   }
   if (top[weakest].window_misses < window_misses) {
-    // The evicted tenant may survive on another shard's list after a chaos
-    // migration; its cleared flag only means the next update pays a scan.
+    // The evicted tenant may survive on another shard's list after a move
+    // between shards; its cleared flag only means the next update pays a
+    // scan.
     tenants_[top[weakest].tenant].in_top = false;
     top[weakest] = entry;
     slot.in_top = true;
@@ -194,39 +195,13 @@ uint32_t SloTracker::ObserveImpl(size_t shard_index, size_t tenant,
 uint32_t SloTracker::Finish(size_t shard_index, size_t tenant,
                             const Instance& instance,
                             const RunResult& result) {
-  // Catch up on any progress since the last barrier, then close the partial
-  // window the run ended inside.
+  // Catch up on any progress since the last barrier, then retire.
   const uint32_t newly_exhausted =
       ObserveImpl(shard_index, tenant,
                   static_cast<uint64_t>(result.rounds_simulated),
                   result.cost.drops, /*update_top=*/false);
-  TenantSlot& slot = tenants_[tenant];
+  Retire(shard_index, tenant);
   ShardState& shard = *shards_[shard_index];
-  if (slot.last_rounds > slot.window_start) {
-    ++shard.acc.windows_closed;
-  }
-  slot.window_start = slot.last_rounds;
-  if (slot.exhausted) {
-    slot.exhausted = false;
-    --shard.acc.tenants_out_of_budget;
-  }
-  slot.window_misses = 0;
-  // Retire from the worst-burn list: the list is a live view of current
-  // burners, and this tenant is leaving. For a tenant whose whole life was
-  // this one Finish (short sessions at fleet scale), no list work happens
-  // at all. A chaos-migrated tenant's entry on another shard stays behind,
-  // exactly as the old scan-miss left it.
-  if (slot.in_top) {
-    auto& top = shard.acc.top;
-    for (size_t i = 0; i < top.size(); ++i) {
-      if (top[i].tenant == tenant) {
-        top[i] = top.back();
-        top.pop_back();
-        break;
-      }
-    }
-    slot.in_top = false;
-  }
   ++shard.acc.tenants_finished;
   if (result.cost.drops != 0) {
     for (size_t c = 0; c < result.drops_per_color.size() &&
@@ -243,6 +218,37 @@ uint32_t SloTracker::Finish(size_t shard_index, size_t tenant,
     }
   }
   return newly_exhausted;
+}
+
+void SloTracker::Retire(size_t shard_index, size_t tenant) {
+  TenantSlot& slot = tenants_[tenant];
+  ShardState& shard = *shards_[shard_index];
+  // Close the partial window the run ended inside.
+  if (slot.last_rounds > slot.window_start) {
+    ++shard.acc.windows_closed;
+  }
+  slot.window_start = slot.last_rounds;
+  if (slot.exhausted) {
+    slot.exhausted = false;
+    --shard.acc.tenants_out_of_budget;
+  }
+  slot.window_misses = 0;
+  // Retire from the worst-burn list: the list is a live view of current
+  // burners, and this tenant is leaving. For a tenant whose whole life was
+  // one Finish (short sessions at fleet scale), no list work happens at
+  // all. An entry the tenant left on another shard stays behind, exactly as
+  // the old scan-miss left it.
+  if (slot.in_top) {
+    auto& top = shard.acc.top;
+    for (size_t i = 0; i < top.size(); ++i) {
+      if (top[i].tenant == tenant) {
+        top[i] = top.back();
+        top.pop_back();
+        break;
+      }
+    }
+    slot.in_top = false;
+  }
 }
 
 void SloTracker::Publish(size_t shard_index) {

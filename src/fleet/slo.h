@@ -11,10 +11,10 @@
 // worker that owns the tenant for that tick, and every quantity is a pure
 // function of the tenant's observation sequence. Since shard/worker
 // assignment and tick schedules are thread-count-invariant (FleetRunner's
-// j % num_shards affinity; ChaosFleetRunner's seeded fault plan), the entire
-// SLO state — including which window a miss lands in — is bit-identical at
-// any thread count. Scrapes never mutate: they read the per-shard snapshots
-// copied at the last Publish, under that shard's mutex.
+// j % num_shards affinity; the dist controller's one shard, fed at its
+// barrier), the entire SLO state — including which window a miss lands in —
+// is bit-identical at any thread count. Scrapes never mutate: they read the
+// per-shard snapshots copied at the last Publish, under that shard's mutex.
 //
 // Hot-path cost: Observe touches one tenant slot and one shard accumulator
 // block (both shard-owned between barriers — no atomics, no locks) and
@@ -73,10 +73,10 @@ class SloTracker {
     uint64_t exhausted_events = 0; // budget-exhaustion transitions
     uint64_t tenants_seen = 0;     // distinct tenants observed
     uint64_t tenants_finished = 0;
-    // Tenants whose current window is over budget. Signed: a chaos-migrated
-    // tenant may exhaust on one worker and roll its window on another, so a
-    // single shard's value can dip negative transiently; the sum over
-    // shards (the fleet total) is always >= 0 and exact.
+    // Tenants whose current window is over budget. Signed: a tenant fed
+    // from more than one shard may exhaust on one and roll its window on
+    // another, so a single shard's value can dip negative transiently; the
+    // sum over shards (the fleet total) is always >= 0 and exact.
     int64_t tenants_out_of_budget = 0;
     obs::LogHistogram miss_delay;  // misses by delay class (delay bound)
     std::vector<TenantBurn> top;   // worst burn first
@@ -113,6 +113,12 @@ class SloTracker {
   // like Observe.
   uint32_t Finish(size_t shard, size_t tenant, const Instance& instance,
                   const RunResult& result);
+
+  // Retires a tenant that leaves without completing (a shed tenant): closes
+  // its partial window and drops it from the worst-burn list, as Finish
+  // does, but counts it neither finished nor in the miss-by-delay-class
+  // histogram. Observe its progress up to the cut first.
+  void Retire(size_t shard, size_t tenant);
 
   // Copies the shard's accumulators into its published (scrape-visible)
   // snapshot. Runners call this once per tick, at the barrier.

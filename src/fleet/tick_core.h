@@ -1,10 +1,10 @@
 // TickCore: one shard's tenant lifecycle, shared by every fleet runner.
 //
-// FleetRunner, ChaosFleetRunner and the dist worker all run the paper's
-// four-phase round on pooled sessions through the same loop: bind a waiting
-// tenant to a warm session (admit), advance every live tenant one round
-// bucket (step), and fold each completion into results, stats and the obs
-// plane. The fault and migration paths add checkpoint, evict and restore.
+// FleetRunner and the dist worker both run the paper's four-phase round on
+// pooled sessions through the same loop: bind a waiting tenant to a warm
+// session (admit), advance every live tenant one round bucket (step), and
+// fold each completion into results, stats and the obs plane. The dist
+// fleet's migration and failover paths add checkpoint, evict and restore.
 // TickCore owns that lifecycle once; each runner keeps only what differs
 // between them — where tenants come from, how many may be live, and where
 // progress and results go (a TickSink).

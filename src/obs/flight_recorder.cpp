@@ -43,10 +43,7 @@ const char* FlightEventTypeName(uint32_t type) {
     case kFlightTick: return "tick";
     case kFlightAdmit: return "admit";
     case kFlightFinish: return "finish";
-    case kFlightKillWorker: return "kill-worker";
-    case kFlightEvict: return "evict";
     case kFlightRestore: return "restore";
-    case kFlightRebalance: return "rebalance";
     case kFlightSlabOpen: return "slab-open";
     case kFlightSlabClose: return "slab-close";
     case kFlightSloExhausted: return "slo-exhausted";

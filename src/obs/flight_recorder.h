@@ -35,15 +35,14 @@ namespace rrs {
 namespace obs {
 
 // Event vocabulary. Values are part of the dump format: append only.
+// Values 4, 5 and 7 are retired (never reuse them, so an old dump's events
+// never read as another kind).
 enum FlightEventType : uint32_t {
   kFlightInvalid = 0,  // never recorded; what a torn/empty slot decodes as
   kFlightTick = 1,            // arg0=shard/worker, arg1=tick index
   kFlightAdmit = 2,           // arg0=shard/worker, arg1=job index
   kFlightFinish = 3,          // arg0=shard/worker, arg1=job index
-  kFlightKillWorker = 4,      // arg0=worker, arg1=sessions evicted
-  kFlightEvict = 5,           // arg0=worker, arg1=job index, arg2=delay ticks
   kFlightRestore = 6,         // arg0=worker, arg1=job index
-  kFlightRebalance = 7,       // arg0=from worker, arg1=to worker, arg2=job
   kFlightSlabOpen = 8,        // arg0=shard, arg1=live slabs after open
   kFlightSlabClose = 9,       // arg0=shard, arg1=live slabs after close
   kFlightSloExhausted = 10,   // arg0=shard, arg1=tenant, arg2=window index
@@ -51,8 +50,8 @@ enum FlightEventType : uint32_t {
   kNumFlightEventTypes = 12,
 };
 
-// Stable short name for an event type ("tick", "evict", ...); "invalid" for
-// out-of-range values.
+// Stable short name for an event type ("tick", "restore", ...); "invalid"
+// for retired or out-of-range values.
 const char* FlightEventTypeName(uint32_t type);
 
 // One 32-byte slot. Field meaning depends on type (see enum comments).

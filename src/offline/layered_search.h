@@ -57,6 +57,7 @@
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "offline/lower_bound.h"
+#include "offline/optimal.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "util/check.h"
@@ -135,11 +136,11 @@ class LayeredSearch {
     }
   };
 
-  // `options` is OptimalOptions or RobustOptions; `incumbent` is a certified
-  // upper bound on every completion the caller needs to keep. With
-  // keep_history every layer is retained (for parent links).
-  template <typename Options>
-  LayeredSearch(const Model& model, const Options& options,
+  // `options` supplies the resources, cost model, budget, pool and pruning
+  // switches; `incumbent` is a certified upper bound on every completion the
+  // caller needs to keep. With keep_history every layer is retained (for
+  // parent links).
+  LayeredSearch(const Model& model, const OptimalOptions& options,
                 uint32_t num_colors, Round horizon, uint64_t incumbent,
                 bool keep_history)
       : model_(model),

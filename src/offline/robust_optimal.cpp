@@ -144,8 +144,10 @@ class IntervalModel {
 }  // namespace
 
 RobustResult SolveRobust(const workload::UncertainInstance& set,
-                         const RobustOptions& options) {
+                         const OptimalOptions& options) {
   RRS_CHECK_GE(options.num_resources, 1u);
+  RRS_CHECK(!options.reconstruct_schedule)
+      << "SolveRobust reconstructs no schedule";
   const uint32_t m = options.num_resources;
   RobustResult result;
 

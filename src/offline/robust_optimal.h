@@ -38,41 +38,15 @@
 
 #include <cstdint>
 
-#include "core/cost.h"
+#include "offline/optimal.h"
 
 namespace rrs {
-
-class ThreadPool;
-
-namespace obs {
-class Scope;
-}  // namespace obs
 
 namespace workload {
 class UncertainInstance;
 }  // namespace workload
 
 namespace offline {
-
-struct RobustOptions {
-  uint32_t num_resources = 1;
-  CostModel cost_model;
-  // Expansion budget, checked at layer granularity like OptimalOptions: on
-  // exhaustion the result carries exact == false with a (wider but still
-  // certified) bracket from the frontier and the incumbent.
-  uint64_t max_states = 5'000'000;
-  // Worker pool for layer-parallel expansion; nullptr runs single-threaded.
-  // Results are identical for every pool size.
-  ThreadPool* pool = nullptr;
-  // Optional observability scope: records offline.robust.* counters and the
-  // offline.robust.layer_width histogram. Falls back to the global scope;
-  // null disables.
-  obs::Scope* obs_scope = nullptr;
-  // Testing/ablation knobs; both default on. The incumbent replay always
-  // runs (the upper bracket needs it); these only gate the pruning itself.
-  bool prune_bound = true;
-  bool prune_dominance = true;
-};
 
 struct RobustResult {
   // True when the search completed within max_states. Either way,
@@ -89,9 +63,14 @@ struct RobustResult {
   uint64_t max_layer_width = 0;
 };
 
-// Certified robust OPT bracket over the uncertainty set. Never fails.
+// Certified robust OPT bracket over the uncertainty set. Never fails. Takes
+// SolveOptimal's options: the budget is checked at layer granularity, and on
+// exhaustion the result carries exact == false with a (wider but still
+// certified) bracket from the frontier and the incumbent; obs_scope records
+// offline.robust.* counters and the offline.robust.layer_width histogram.
+// There is no robust schedule, so reconstruct_schedule must be off.
 RobustResult SolveRobust(const workload::UncertainInstance& set,
-                         const RobustOptions& options);
+                         const OptimalOptions& options);
 
 }  // namespace offline
 }  // namespace rrs

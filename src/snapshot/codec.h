@@ -4,8 +4,8 @@
 // reduce::PipelineSession) can serialize its mutable run state into a flat
 // word stream and restore it into a freshly Reset session, producing runs
 // bit-identical to the uninterrupted original. The codec is the one wire
-// format behind checkpoint/restore, tenant migration in
-// fleet::ChaosFleetRunner, and the checkpoint-differential fuzz tests.
+// format behind checkpoint/restore, the dist fleet's tenant migration and
+// failover (fleet/dist/), and the checkpoint-differential fuzz tests.
 //
 // Format (all little-endian uint64 words, arena-friendly: one contiguous
 // vector, no per-field framing):
@@ -46,8 +46,9 @@ inline constexpr uint64_t kMagic = 0x72727353'6e617031ULL;  // "rrsSnap1"
 inline constexpr uint64_t kVersion = 1;
 
 // Section tags, one per component that owns serialized state. Tag mismatch
-// on read aborts with both tags in the message. Tag 2 is retired: never
-// reuse it, so no stale checkpoint section reads as another component's.
+// on read aborts with both tags in the message. Tags 2 and 12 are retired:
+// never reuse them, so no stale checkpoint section reads as another
+// component's.
 enum Tag : uint64_t {
   kTagEngine = 1,
   kTagLruTracker = 3,
@@ -59,7 +60,6 @@ enum Tag : uint64_t {
   kTagOnlineSolver = 9,
   kTagPipelineSession = 10,
   kTagRng = 11,
-  kTagChaosTenant = 12,
   kTagPolicyBatched = 13,
   kTagPolicyInstrumented = 14,
   // Distributed-fleet control protocol (fleet/dist/protocol.h): every frame

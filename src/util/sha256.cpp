@@ -149,10 +149,4 @@ std::string Sha256::FinishHex() {
   return out;
 }
 
-std::string Sha256Hex(std::string_view data) {
-  Sha256 hash;
-  hash.Update(data);
-  return hash.FinishHex();
-}
-
 }  // namespace rrs

@@ -49,7 +49,4 @@ class Sha256 {
   size_t buffered_ = 0;
 };
 
-// One-shot convenience.
-std::string Sha256Hex(std::string_view data);
-
 }  // namespace rrs

@@ -100,42 +100,4 @@ double SampleSet::Quantile(double q) const {
   return samples_[i] * (1 - frac) + samples_[i + 1] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  RRS_CHECK_LT(lo, hi);
-  RRS_CHECK_GT(buckets, 0u);
-  bucket_width_ = (hi - lo) / static_cast<double>(buckets);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    size_t i = static_cast<size_t>((x - lo_) / bucket_width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;  // rounding guard
-    ++counts_[i];
-  }
-}
-
-double Histogram::bucket_lo(size_t i) const {
-  return lo_ + bucket_width_ * static_cast<double>(i);
-}
-
-std::string Histogram::ToAscii(size_t width) const {
-  size_t peak = 1;
-  for (size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    size_t bar = counts_[i] * width / peak;
-    os << "[" << bucket_lo(i) << ", " << bucket_hi(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  if (underflow_) os << "underflow " << underflow_ << "\n";
-  if (overflow_) os << "overflow " << overflow_ << "\n";
-  return os.str();
-}
-
 }  // namespace rrs

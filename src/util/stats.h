@@ -1,4 +1,4 @@
-// Streaming summary statistics and histograms for experiment reporting.
+// Streaming summary statistics and sample sets for experiment reporting.
 #pragma once
 
 #include <cstddef>
@@ -63,33 +63,6 @@ class SampleSet {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-width linear histogram over [lo, hi) with overflow/underflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t total() const { return total_; }
-  size_t underflow() const { return underflow_; }
-  size_t overflow() const { return overflow_; }
-  size_t bucket_count() const { return counts_.size(); }
-  size_t bucket(size_t i) const { return counts_[i]; }
-  double bucket_lo(size_t i) const;
-  double bucket_hi(size_t i) const { return bucket_lo(i + 1); }
-
-  // Renders an ASCII bar chart, one bucket per line, bars scaled to `width`.
-  std::string ToAscii(size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucket_width_;
-  std::vector<size_t> counts_;
-  size_t underflow_ = 0;
-  size_t overflow_ = 0;
-  size_t total_ = 0;
 };
 
 }  // namespace rrs

@@ -153,14 +153,5 @@ Instance Materialize(ArrivalSource& source) {
   return builder.Build();
 }
 
-Instance CopyColorTable(const Instance& shape) {
-  InstanceBuilder builder;
-  for (ColorId c = 0; c < shape.num_colors(); ++c) {
-    builder.AddColor(shape.delay_bound(c), shape.color_name(c),
-                     shape.drop_cost(c));
-  }
-  return builder.Build();
-}
-
 }  // namespace workload
 }  // namespace rrs

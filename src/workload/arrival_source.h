@@ -146,13 +146,6 @@ class ArrivalSource {
   // generator's configured round count (trailing all-zero rounds are
   // trimmed, matching what InstanceBuilder::Build derives from the jobs).
   void FinishInit(Round raw_rounds);
-  // Adopts another source's precomputed stats (Clone support).
-  void CopyStats(const ArrivalSource& from) {
-    request_rounds_ = from.request_rounds_;
-    horizon_ = from.horizon_;
-    backlog_ = from.backlog_;
-  }
-
   Round cursor_ = 0;
   Round request_rounds_ = 0;
   Round horizon_ = 0;
@@ -203,10 +196,6 @@ std::unique_ptr<ArrivalSource> MakeOwnedInstanceSource(Instance instance);
 // For the generator sources this reproduces the legacy Make* builders byte
 // for byte (golden_trace_test pins the digests). Leaves `source` Reset().
 Instance Materialize(ArrivalSource& source);
-
-// A jobless Instance carrying `shape`'s color table — the shape the mix
-// wrapper sources expose.
-Instance CopyColorTable(const Instance& shape);
 
 }  // namespace workload
 }  // namespace rrs

@@ -10,13 +10,17 @@
 //     tenant had never moved (quiesce → snapshot → ship → restore);
 //   - killing a worker and failing its tenants over from the checkpoint
 //     stream (or restarting them from scratch) is invisible in the results:
-//     deterministic re-execution converges on the same bits.
+//     deterministic re-execution converges on the same bits;
+//   - seeded fault plans — random migrations and kills over a mixed,
+//     live-capped fleet at several checkpoint cadences — change nothing
+//     observable, for every registry policy.
 //
 // The protocol layer is round-tripped directly, and the controller/worker
 // metrics endpoints are scraped over real HTTP.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
@@ -30,6 +34,7 @@
 #include "fleet/slo.h"
 #include "obs/export_server.h"
 #include "sched/registry.h"
+#include "util/rng.h"
 #include "util/sha256.h"
 #include "workload/arrival_source.h"
 #include "workload/generator_spec.h"
@@ -105,43 +110,6 @@ struct DistRun {
   DistStats stats;
 };
 
-DistRun RunDistFleet(
-    const std::vector<Instance>& tenants, const std::string& policy,
-    size_t workers,
-    const std::function<void(DistController&)>& plan = nullptr,
-    uint32_t checkpoint_interval = 0) {
-  DistOptions options;
-  options.num_workers = workers;
-  options.worker.policy = policy;
-  options.worker.rounds_per_tick = 1;
-  options.worker.report_slo = true;
-  options.worker.report_trace = true;
-  options.worker.checkpoint_interval_ticks = checkpoint_interval;
-  options.track_slo = true;
-  options.trace_digests = true;
-  options.slo.window_rounds = 16;
-  options.slo.miss_budget = 2;
-  DistController controller(std::move(options));
-  std::string error;
-  EXPECT_TRUE(controller.Start(&error)) << error;
-  std::vector<FleetJob> jobs(tenants.size());
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    jobs[t].instance = &tenants[t];
-    jobs[t].options = TestOptions();
-  }
-  controller.AddJobs(jobs);
-  if (plan) plan(controller);
-  DistRun run;
-  run.results = controller.Run();
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    run.digests.push_back(controller.trace_digest(t));
-  }
-  run.slo = controller.slo()->SnapshotTotals();
-  run.stats = controller.stats();
-  controller.Shutdown();
-  return run;
-}
-
 void ExpectSameSloTotals(const SloTracker::Snapshot& got,
                          const SloTracker::Snapshot& want,
                          const std::string& label) {
@@ -167,17 +135,39 @@ workload::GeneratorSpec DistTenantSpec(uint64_t seed, Round rounds = 96) {
   return workload::PoissonSpec(specs, gen);
 }
 
-// Same shape as RunDistFleet, but over caller-built jobs (streaming tenants
-// and mixed fleets).
+// One instance-fed (spec-fed) job per tenant, with the test's engine
+// options.
+std::vector<FleetJob> InstanceJobs(const std::vector<Instance>& tenants) {
+  std::vector<FleetJob> jobs(tenants.size());
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    jobs[t].instance = &tenants[t];
+    jobs[t].options = TestOptions();
+  }
+  return jobs;
+}
+
+std::vector<FleetJob> SpecJobs(
+    const std::vector<workload::GeneratorSpec>& specs) {
+  std::vector<FleetJob> jobs(specs.size());
+  for (size_t t = 0; t < specs.size(); ++t) {
+    jobs[t].source_spec = &specs[t];
+    jobs[t].options = TestOptions();
+  }
+  return jobs;
+}
+
+// Runs the jobs on a dist fleet stepping one round per tick, with SLO
+// tracking and golden-trace digests, after `plan` has scripted its faults.
 DistRun RunDistFleetJobs(
     const std::vector<FleetJob>& jobs, const std::string& policy,
     size_t workers,
     const std::function<void(DistController&)>& plan = nullptr,
-    uint32_t checkpoint_interval = 0) {
+    uint32_t checkpoint_interval = 0, uint64_t max_live_sessions = 0) {
   DistOptions options;
   options.num_workers = workers;
   options.worker.policy = policy;
   options.worker.rounds_per_tick = 1;
+  options.worker.max_live_sessions = max_live_sessions;
   options.worker.report_slo = true;
   options.worker.report_trace = true;
   options.worker.checkpoint_interval_ticks = checkpoint_interval;
@@ -199,6 +189,50 @@ DistRun RunDistFleetJobs(
   run.stats = controller.stats();
   controller.Shutdown();
   return run;
+}
+
+DistRun RunDistFleet(
+    const std::vector<Instance>& tenants, const std::string& policy,
+    size_t workers,
+    const std::function<void(DistController&)>& plan = nullptr,
+    uint32_t checkpoint_interval = 0) {
+  return RunDistFleetJobs(InstanceJobs(tenants), policy, workers, plan,
+                          checkpoint_interval);
+}
+
+// What every dist run of a fleet must reproduce: fresh single-engine runs
+// of its jobs (spec-fed jobs materialized) and their golden-trace digests.
+struct Oracle {
+  std::vector<RunResult> results;
+  std::vector<std::string> digests;
+};
+
+Oracle FreshEngineOracle(const std::vector<FleetJob>& jobs,
+                         const std::string& policy) {
+  Oracle oracle;
+  for (const FleetJob& job : jobs) {
+    Instance materialized;
+    if (job.instance == nullptr) {
+      auto source = workload::MakeSource(*job.source_spec);
+      materialized = workload::Materialize(*source);
+    }
+    const Instance& instance =
+        job.instance != nullptr ? *job.instance : materialized;
+    auto p = MakePolicy(policy);
+    oracle.results.push_back(RunPolicy(instance, *p, TestOptions()));
+    oracle.digests.push_back(OracleDigest(instance, policy));
+  }
+  return oracle;
+}
+
+void ExpectMatchesOracle(const DistRun& run, const Oracle& oracle,
+                         const std::string& label) {
+  ASSERT_EQ(run.results.size(), oracle.results.size()) << label;
+  for (size_t t = 0; t < oracle.results.size(); ++t) {
+    ExpectSameRunResult(run.results[t], oracle.results[t],
+                        label + " tenant " + std::to_string(t));
+    EXPECT_EQ(run.digests[t], oracle.digests[t]) << label << " tenant " << t;
+  }
 }
 
 // ---- Protocol round-trips ------------------------------------------------
@@ -406,14 +440,6 @@ TEST(DistProtocol, SmallBodiesRoundTrip) {
     EXPECT_EQ(info.rounds, 33u);
     EXPECT_EQ(info.misses, 4u);
   }
-  {
-    snapshot::Writer w;
-    PutWorkerStats(w, {10, 20, 30, 40, 50});
-    snapshot::Reader r(w.words());
-    const WorkerStats stats = GetWorkerStats(r);
-    EXPECT_EQ(stats.ticks, 10u);
-    EXPECT_EQ(stats.snapshots, 50u);
-  }
 }
 
 // ---- End-to-end: multi-process fleet vs fresh-engine oracle --------------
@@ -425,24 +451,12 @@ TEST(DistFleet, MatchesSingleEngineOracleAcrossWorkerCounts) {
   }
   for (const std::string& policy : {std::string("dlru-edf"),
                                     std::string("edf")}) {
-    std::vector<RunResult> oracle;
-    std::vector<std::string> oracle_digests;
-    for (const Instance& tenant : tenants) {
-      auto p = MakePolicy(policy);
-      oracle.push_back(RunPolicy(tenant, *p, TestOptions()));
-      oracle_digests.push_back(OracleDigest(tenant, policy));
-    }
+    const Oracle oracle = FreshEngineOracle(InstanceJobs(tenants), policy);
     for (const size_t workers : {1u, 2u, 4u}) {
       const DistRun run = RunDistFleet(tenants, policy, workers);
       const std::string label =
           policy + " @" + std::to_string(workers) + "w";
-      ASSERT_EQ(run.results.size(), tenants.size());
-      for (size_t t = 0; t < tenants.size(); ++t) {
-        ExpectSameRunResult(run.results[t], oracle[t],
-                            label + " tenant " + std::to_string(t));
-        EXPECT_EQ(run.digests[t], oracle_digests[t])
-            << label << " tenant " << t;
-      }
+      ExpectMatchesOracle(run, oracle, label);
       EXPECT_EQ(run.stats.completed, tenants.size()) << label;
     }
   }
@@ -465,13 +479,7 @@ TEST(DistMigration, EveryPolicyEveryCutMatchesNeverMigratedOracle) {
     // Never-migrated oracle: fresh engines + the direct digest fold, plus
     // the SLO totals of an undisturbed 1-worker dist run (the tracker is
     // fed identically regardless of placement, which is the claim).
-    std::vector<RunResult> oracle;
-    std::vector<std::string> oracle_digests;
-    for (const Instance& tenant : tenants) {
-      auto p = MakePolicy(policy);
-      oracle.push_back(RunPolicy(tenant, *p, TestOptions()));
-      oracle_digests.push_back(OracleDigest(tenant, policy));
-    }
+    const Oracle oracle = FreshEngineOracle(InstanceJobs(tenants), policy);
     const DistRun undisturbed = RunDistFleet(tenants, policy, 1);
     for (const size_t workers : {1u, 2u, 4u}) {
       for (const uint64_t cut : cuts) {
@@ -485,12 +493,7 @@ TEST(DistMigration, EveryPolicyEveryCutMatchesNeverMigratedOracle) {
             });
         const std::string label = policy + " cut=" + std::to_string(cut) +
                                   " @" + std::to_string(workers) + "w";
-        for (size_t t = 0; t < tenants.size(); ++t) {
-          ExpectSameRunResult(run.results[t], oracle[t],
-                              label + " tenant " + std::to_string(t));
-          EXPECT_EQ(run.digests[t], oracle_digests[t])
-              << label << " tenant " << t;
-        }
+        ExpectMatchesOracle(run, oracle, label);
         ExpectSameSloTotals(run.slo, undisturbed.slo, label);
       }
     }
@@ -505,13 +508,7 @@ TEST(DistFailover, KilledWorkerRecoversFromCheckpointsBitIdentically) {
     tenants.push_back(DistTenant(seed));
   }
   const std::string policy = "dlru-edf";
-  std::vector<RunResult> oracle;
-  std::vector<std::string> oracle_digests;
-  for (const Instance& tenant : tenants) {
-    auto p = MakePolicy(policy);
-    oracle.push_back(RunPolicy(tenant, *p, TestOptions()));
-    oracle_digests.push_back(OracleDigest(tenant, policy));
-  }
+  const Oracle oracle = FreshEngineOracle(InstanceJobs(tenants), policy);
   const DistRun undisturbed = RunDistFleet(tenants, policy, 1);
   const DistRun run = RunDistFleet(
       tenants, policy, /*workers=*/3,
@@ -522,11 +519,7 @@ TEST(DistFailover, KilledWorkerRecoversFromCheckpointsBitIdentically) {
       /*checkpoint_interval=*/4);
   EXPECT_EQ(run.stats.kills, 2u);
   EXPECT_GT(run.stats.restored_from_checkpoint, 0u);
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    ExpectSameRunResult(run.results[t], oracle[t],
-                        "failover tenant " + std::to_string(t));
-    EXPECT_EQ(run.digests[t], oracle_digests[t]) << "failover tenant " << t;
-  }
+  ExpectMatchesOracle(run, oracle, "failover");
   // SLO windows: the high-water guard must drop the rewound re-observations
   // so totals match the undisturbed fleet exactly.
   ExpectSameSloTotals(run.slo, undisturbed.slo, "failover slo");
@@ -583,11 +576,10 @@ TEST(DistShed, ScriptedShedDropsOneTenantAndLeavesTheRestExact) {
   }
 }
 
-TEST(DistShed, BurnDrivenSheddingActsAsOverloadValve) {
-  // `never` never reconfigures, so most jobs miss their delay bounds: every
-  // tenant burns its window budget immediately and the threshold sheds
-  // them instead of letting them grind to completion.
-  std::vector<Instance> tenants = {DistTenant(61), DistTenant(62)};
+// `never` never reconfigures, so most jobs miss their delay bounds: every
+// tenant burns its window budget immediately and the threshold sheds them
+// instead of letting them grind to completion.
+DistOptions BurnValveOptions() {
   DistOptions options;
   options.num_workers = 2;
   options.worker.policy = "never";
@@ -595,15 +587,15 @@ TEST(DistShed, BurnDrivenSheddingActsAsOverloadValve) {
   options.slo.window_rounds = 16;
   options.slo.miss_budget = 1;
   options.shed_burn_threshold = 2.0;
-  DistController controller(std::move(options));
+  return options;
+}
+
+TEST(DistShed, BurnDrivenSheddingActsAsOverloadValve) {
+  std::vector<Instance> tenants = {DistTenant(61), DistTenant(62)};
+  DistController controller(BurnValveOptions());
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
-  std::vector<FleetJob> jobs(tenants.size());
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    jobs[t].instance = &tenants[t];
-    jobs[t].options = TestOptions();
-  }
-  controller.AddJobs(jobs);
+  controller.AddJobs(InstanceJobs(tenants));
   const std::vector<RunResult> results = controller.Run();
   const DistStats& stats = controller.stats();
   EXPECT_GT(stats.shed, 0u);
@@ -611,6 +603,28 @@ TEST(DistShed, BurnDrivenSheddingActsAsOverloadValve) {
   for (size_t t = 0; t < tenants.size(); ++t) {
     EXPECT_EQ(controller.tenant_shed(t), results[t].rounds_simulated == 0);
   }
+  controller.Shutdown();
+}
+
+// A shed tenant no longer runs, so the controller's SLO view must let it
+// go: its window closes, it leaves the worst-burn list (/tenants) and the
+// out-of-budget gauge, and it is not counted finished.
+TEST(DistShed, ShedTenantsLeaveTheWorstBurnList) {
+  std::vector<Instance> tenants = {DistTenant(61), DistTenant(62)};
+  DistController controller(BurnValveOptions());
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  controller.AddJobs(InstanceJobs(tenants));
+  controller.Run();
+  ASSERT_EQ(controller.stats().shed, tenants.size());
+  const SloTracker::Snapshot totals = controller.slo()->SnapshotTotals();
+  EXPECT_EQ(totals.tenants_seen, tenants.size());
+  EXPECT_GT(totals.misses, 0u);
+  EXPECT_EQ(totals.tenants_out_of_budget, 0);
+  EXPECT_TRUE(totals.top.empty());
+  EXPECT_EQ(totals.tenants_finished, 0u);
+  EXPECT_EQ(totals.miss_delay.count(), 0u);
+  EXPECT_EQ(controller.slo()->TenantsJson(), "[]\n");
   controller.Shutdown();
 }
 
@@ -628,12 +642,7 @@ TEST(DistMetrics, ControllerAndWorkerEndpointsServeAggregates) {
   DistController controller(std::move(options));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
-  std::vector<FleetJob> jobs(tenants.size());
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    jobs[t].instance = &tenants[t];
-    jobs[t].options = TestOptions();
-  }
-  controller.AddJobs(jobs);
+  controller.AddJobs(InstanceJobs(tenants));
   controller.Run();
 
   // Controller plane: Prometheus text with the SLO section, the /workers
@@ -685,12 +694,7 @@ TEST(DistFleet, LiveSessionCapQueuesDeterministically) {
   DistController controller(std::move(options));
   std::string error;
   ASSERT_TRUE(controller.Start(&error)) << error;
-  std::vector<FleetJob> jobs(tenants.size());
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    jobs[t].instance = &tenants[t];
-    jobs[t].options = TestOptions();
-  }
-  controller.AddJobs(jobs);
+  controller.AddJobs(InstanceJobs(tenants));
   const std::vector<RunResult> results = controller.Run();
   for (size_t t = 0; t < tenants.size(); ++t) {
     auto p = MakePolicy(policy);
@@ -721,27 +725,12 @@ TEST(DistStreaming, SourceTenantsMatchMaterializedOracleAcrossWorkerCounts) {
   specs.push_back(workload::MemctrlSpec(mem));
 
   const std::string policy = "dlru-edf";
-  std::vector<RunResult> oracle;
-  std::vector<std::string> oracle_digests;
-  std::vector<FleetJob> jobs(specs.size());
-  for (size_t t = 0; t < specs.size(); ++t) {
-    auto source = workload::MakeSource(specs[t]);
-    const Instance materialized = workload::Materialize(*source);
-    auto p = MakePolicy(policy);
-    oracle.push_back(RunPolicy(materialized, *p, TestOptions()));
-    oracle_digests.push_back(OracleDigest(materialized, policy));
-    jobs[t].source_spec = &specs[t];
-    jobs[t].options = TestOptions();
-  }
+  const std::vector<FleetJob> jobs = SpecJobs(specs);
+  const Oracle oracle = FreshEngineOracle(jobs, policy);
   for (const size_t workers : {1u, 2u, 4u}) {
     const DistRun run = RunDistFleetJobs(jobs, policy, workers);
     const std::string label = "streaming @" + std::to_string(workers) + "w";
-    ASSERT_EQ(run.results.size(), jobs.size());
-    for (size_t t = 0; t < jobs.size(); ++t) {
-      ExpectSameRunResult(run.results[t], oracle[t],
-                          label + " tenant " + std::to_string(t));
-      EXPECT_EQ(run.digests[t], oracle_digests[t]) << label << " tenant " << t;
-    }
+    ExpectMatchesOracle(run, oracle, label);
     EXPECT_EQ(run.stats.completed, jobs.size()) << label;
   }
 }
@@ -752,18 +741,8 @@ TEST(DistStreaming, MigrationShipsSourceStateBitIdentically) {
     specs.push_back(DistTenantSpec(seed));
   }
   const std::string policy = "dlru-edf";
-  std::vector<RunResult> oracle;
-  std::vector<std::string> oracle_digests;
-  std::vector<FleetJob> jobs(specs.size());
-  for (size_t t = 0; t < specs.size(); ++t) {
-    auto source = workload::MakeSource(specs[t]);
-    const Instance materialized = workload::Materialize(*source);
-    auto p = MakePolicy(policy);
-    oracle.push_back(RunPolicy(materialized, *p, TestOptions()));
-    oracle_digests.push_back(OracleDigest(materialized, policy));
-    jobs[t].source_spec = &specs[t];
-    jobs[t].options = TestOptions();
-  }
+  const std::vector<FleetJob> jobs = SpecJobs(specs);
+  const Oracle oracle = FreshEngineOracle(jobs, policy);
   const DistRun undisturbed = RunDistFleetJobs(jobs, policy, 1);
   for (const size_t workers : {1u, 2u, 4u}) {
     for (const uint64_t cut : {1u, 17u, 64u}) {
@@ -777,12 +756,7 @@ TEST(DistStreaming, MigrationShipsSourceStateBitIdentically) {
           });
       const std::string label = "streaming cut=" + std::to_string(cut) +
                                 " @" + std::to_string(workers) + "w";
-      for (size_t t = 0; t < jobs.size(); ++t) {
-        ExpectSameRunResult(run.results[t], oracle[t],
-                            label + " tenant " + std::to_string(t));
-        EXPECT_EQ(run.digests[t], oracle_digests[t])
-            << label << " tenant " << t;
-      }
+      ExpectMatchesOracle(run, oracle, label);
       EXPECT_GE(run.stats.migrations, jobs.size()) << label;
       ExpectSameSloTotals(run.slo, undisturbed.slo, label);
     }
@@ -795,18 +769,8 @@ TEST(DistStreaming, FailoverRestoresStreamingTenantsFromCheckpoints) {
     specs.push_back(DistTenantSpec(seed));
   }
   const std::string policy = "greedy-edf";
-  std::vector<RunResult> oracle;
-  std::vector<std::string> oracle_digests;
-  std::vector<FleetJob> jobs(specs.size());
-  for (size_t t = 0; t < specs.size(); ++t) {
-    auto source = workload::MakeSource(specs[t]);
-    const Instance materialized = workload::Materialize(*source);
-    auto p = MakePolicy(policy);
-    oracle.push_back(RunPolicy(materialized, *p, TestOptions()));
-    oracle_digests.push_back(OracleDigest(materialized, policy));
-    jobs[t].source_spec = &specs[t];
-    jobs[t].options = TestOptions();
-  }
+  const std::vector<FleetJob> jobs = SpecJobs(specs);
+  const Oracle oracle = FreshEngineOracle(jobs, policy);
   const DistRun undisturbed = RunDistFleetJobs(jobs, policy, 1);
   const DistRun run = RunDistFleetJobs(
       jobs, policy, /*workers=*/3,
@@ -817,12 +781,7 @@ TEST(DistStreaming, FailoverRestoresStreamingTenantsFromCheckpoints) {
       /*checkpoint_interval=*/4);
   EXPECT_EQ(run.stats.kills, 2u);
   EXPECT_GT(run.stats.restored_from_checkpoint, 0u);
-  for (size_t t = 0; t < jobs.size(); ++t) {
-    ExpectSameRunResult(run.results[t], oracle[t],
-                        "streaming failover tenant " + std::to_string(t));
-    EXPECT_EQ(run.digests[t], oracle_digests[t])
-        << "streaming failover tenant " << t;
-  }
+  ExpectMatchesOracle(run, oracle, "streaming failover");
   ExpectSameSloTotals(run.slo, undisturbed.slo, "streaming failover slo");
 }
 
@@ -854,6 +813,94 @@ TEST(DistStreaming, MixedInstanceAndSourceFleetsCoexist) {
   }
   EXPECT_EQ(run.stats.completed, jobs.size());
 }
+
+// ---- Seeded fault plans ----------------------------------------------------
+//
+// For each seed an Rng scripts a fault plan before the run: live migrations
+// of random tenants to random workers, and up to workers - 1 worker kills,
+// all at random barriers. The fleet mixes instance-fed and spec-fed tenants,
+// and a live cap of 2 per worker keeps some tenants waiting, so migrations
+// move waiting tenants too. At every checkpoint cadence — none (a killed
+// worker's tenants restart from scratch), every tick, every third tick —
+// results, golden-trace digests and SLO totals must equal the unfaulted
+// oracle. The seed count per policy is RRS_FUZZ_ITERS (3 at tier-1).
+
+int FaultPlanSeeds() {
+  const char* env = std::getenv("RRS_FUZZ_ITERS");
+  if (env != nullptr && std::atoi(env) > 0) return std::atoi(env);
+  return 3;
+}
+
+class DistFaultPlan : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DistFaultPlan, SeededPlansMatchUnfaultedOracle) {
+  const std::string policy = GetParam();
+  constexpr size_t kWorkers = 4;
+  constexpr uint64_t kLiveCap = 2;
+  constexpr uint64_t kPlanTicks = 64;  // faults land at barriers 1..64
+  std::vector<Instance> instances;
+  std::vector<workload::GeneratorSpec> specs;
+  for (uint64_t i = 0; i < 6; ++i) {
+    const Round rounds = 24 + 8 * static_cast<Round>(i % 3);
+    instances.push_back(DistTenant(141 + i, rounds));
+    specs.push_back(DistTenantSpec(151 + i, rounds));
+  }
+  std::vector<FleetJob> jobs = InstanceJobs(instances);
+  // lookahead reads future jobs, which a generator's jobless shape does not
+  // carry: its fleet is instance-fed only.
+  if (policy != "lookahead") {
+    const std::vector<FleetJob> spec_jobs = SpecJobs(specs);
+    jobs.insert(jobs.end(), spec_jobs.begin(), spec_jobs.end());
+  }
+  const Oracle oracle = FreshEngineOracle(jobs, policy);
+  const DistRun unfaulted = RunDistFleetJobs(jobs, policy, 1);
+
+  DistStats faults;
+  for (int seed = 0; seed < FaultPlanSeeds(); ++seed) {
+    for (const uint32_t cadence : {0u, 1u, 3u}) {
+      Rng rng(0xfa17'0000ULL + 8 * static_cast<uint64_t>(seed) + cadence);
+      // One draw per statement: argument evaluation order is unspecified.
+      const auto plan = [&](DistController& controller) {
+        for (size_t m = 0; m < jobs.size(); ++m) {
+          const uint64_t tick = 1 + rng.NextBounded(kPlanTicks);
+          const uint64_t tenant = rng.NextBounded(jobs.size());
+          controller.ScheduleMigration(tick, tenant, rng.NextBounded(kWorkers));
+        }
+        const uint64_t kills = rng.NextBounded(kWorkers);
+        for (uint64_t k = 0; k < kills; ++k) {
+          const uint64_t tick = 1 + rng.NextBounded(kPlanTicks);
+          controller.ScheduleKill(tick, rng.NextBounded(kWorkers));
+        }
+      };
+      const DistRun run = RunDistFleetJobs(jobs, policy, kWorkers, plan,
+                                           cadence, kLiveCap);
+      const std::string label = policy + " seed=" + std::to_string(seed) +
+                                " cadence=" + std::to_string(cadence);
+      ExpectMatchesOracle(run, oracle, label);
+      ExpectSameSloTotals(run.slo, unfaulted.slo, label);
+      EXPECT_EQ(run.stats.completed, jobs.size()) << label;
+      faults.migrations += run.stats.migrations;
+      faults.kills += run.stats.kills;
+      faults.restored_from_checkpoint += run.stats.restored_from_checkpoint;
+      faults.restarted_from_scratch += run.stats.restarted_from_scratch;
+    }
+  }
+  // The plans reach every fault path.
+  EXPECT_GT(faults.migrations, 0u) << policy;
+  EXPECT_GT(faults.kills, 0u) << policy;
+  EXPECT_GT(faults.restored_from_checkpoint, 0u) << policy;
+  EXPECT_GT(faults.restarted_from_scratch, 0u) << policy;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, DistFaultPlan,
+                         ::testing::ValuesIn(PolicyNames()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace dist

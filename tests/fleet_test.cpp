@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "fleet/chaos_fleet.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/tick_core.h"
 #include "parallel/thread_pool.h"
@@ -367,45 +366,6 @@ TEST(TickCore, EvictRestoreAcrossCoresIsBitIdentical) {
   ExpectSameRunResult(results[0], oracle, "instance-fed");
   ExpectSameRunResult(results[1], oracle, "streaming");
   EXPECT_EQ(to.stats().sessions_completed, 2u);
-}
-
-// The chaos runner checkpoints streaming tenants through the same core:
-// results match fresh engines on the materialized workloads.
-TEST(TickCore, ChaosRunnerCheckpointsStreamingTenants) {
-  const std::vector<workload::ColorSpec> specs = {
-      {1, 0.4}, {2, 0.5}, {4, 0.5}, {8, 0.4}, {16, 0.3}};
-  constexpr size_t kTenants = 12;
-  std::vector<workload::GeneratorSpec> sources;
-  std::vector<Instance> instances;
-  for (size_t i = 0; i < kTenants; ++i) {
-    workload::PoissonOptions gen;
-    gen.rounds = 96;
-    gen.seed = 500 + i;
-    sources.push_back(workload::PoissonSpec(specs, gen));
-    instances.push_back(MakePoisson(specs, gen));
-  }
-  std::vector<fleet::FleetJob> jobs(kTenants);
-  for (size_t i = 0; i < kTenants; ++i) {
-    jobs[i].source_spec = &sources[i];
-    jobs[i].options.num_resources = 4;
-    jobs[i].options.cost_model.delta = 2;
-  }
-
-  fleet::ChaosOptions options;
-  options.num_workers = 3;
-  options.rounds_per_tick = 8;
-  options.kill_worker_prob = 0.3;
-  options.evict_prob = 0.8;
-  fleet::ChaosFleetRunner runner(options);
-  const std::vector<RunResult> got = runner.RunAll(jobs);
-  ASSERT_EQ(got.size(), kTenants);
-  for (size_t i = 0; i < kTenants; ++i) {
-    DlruEdfPolicy policy;
-    ExpectSameRunResult(got[i], RunPolicy(instances[i], policy,
-                                          jobs[i].options),
-                        "streaming chaos tenant " + std::to_string(i));
-  }
-  EXPECT_GT(runner.stats().restores, 0u);
 }
 
 // ---- Pipeline session reuse ----------------------------------------------

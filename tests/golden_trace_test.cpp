@@ -281,8 +281,8 @@ std::string RobustSearchDigest(const std::vector<OfflineCase>& corpus) {
     for (Round width = 0; width <= 2; ++width) {
       const auto set = workload::UncertainInstance::FromInstance(
           c.instance, width / 2, width - width / 2);
-      for (const offline::RobustOptions& options :
-           SearchVariants<offline::RobustOptions>(c.m, c.delta, pool)) {
+      for (const offline::OptimalOptions& options :
+           SearchVariants<offline::OptimalOptions>(c.m, c.delta, pool)) {
         HashSearchResult(hash, offline::SolveRobust(set, options));
       }
     }

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "fleet/chaos_fleet.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/slo.h"
 #include "obs/export_server.h"
@@ -81,20 +80,6 @@ TEST(Obs0, FleetRunnerIgnoresSloAndRecorder) {
     EXPECT_GT(result.arrived, 0u);
   }
   // Never bound, never observed: the call sites are compiled out.
-  EXPECT_EQ(slo.num_shards(), 0u);
-  EXPECT_EQ(recorder.num_rings(), 0u);
-
-  fleet::ChaosOptions chaos;
-  chaos.num_workers = 2;
-  chaos.slo = &slo;
-  chaos.recorder = &recorder;
-  std::vector<RunResult> chaotic =
-      fleet::ChaosFleetRunner(chaos).RunAll(jobs);
-  ASSERT_EQ(chaotic.size(), results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(chaotic[i].cost.drops, results[i].cost.drops) << i;
-    EXPECT_EQ(chaotic[i].executed, results[i].executed) << i;
-  }
   EXPECT_EQ(slo.num_shards(), 0u);
   EXPECT_EQ(recorder.num_rings(), 0u);
 }

@@ -2,7 +2,7 @@
 // per-tenant SLO tracker's window/budget accounting, the flight recorder's
 // record → dump → decode round trip (including the crash-handler path, via
 // fork), and the headline live-scrape consistency claim — a scrape taken
-// while a chaos fleet is running must have per-shard SLO series that sum
+// while a sharded fleet is running must have per-shard SLO series that sum
 // exactly to its fleet totals.
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "fleet/chaos_fleet.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/slo.h"
 #include "obs/export_server.h"
@@ -342,13 +341,14 @@ TEST(FlightRecorder, AbortProducesDecodableDumpWithInjectedFaults) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: record a fault-injection history, install the handler, crash.
+    // Child: record a failover history (a tick, a tenant restored from its
+    // checkpoint, an SLO budget exhausted), install the handler, crash.
     static obs::FlightRecorder recorder;
-    obs::FlightRing* ring = recorder.Ring("chaos.coord");
+    obs::FlightRing* ring = recorder.Ring("fleet.shard0");
     if (ring == nullptr) _exit(3);
     ring->Record(obs::kFlightTick, 0, 1);
-    ring->Record(obs::kFlightKillWorker, 2, 7);
-    ring->Record(obs::kFlightEvict, 1, 42, 3);
+    ring->Record(obs::kFlightRestore, 2, 7);
+    ring->Record(obs::kFlightSloExhausted, 1, 42, 3);
     obs::InstallFlightCrashHandler(&recorder, path);
     std::abort();
   }
@@ -371,21 +371,22 @@ TEST(FlightRecorder, AbortProducesDecodableDumpWithInjectedFaults) {
   std::string error;
   ASSERT_TRUE(obs::DecodeFlightDump(bytes, &decoded, &error)) << error;
   ASSERT_EQ(decoded.rings.size(), 1u);
-  EXPECT_EQ(decoded.rings[0].name, "chaos.coord");
+  EXPECT_EQ(decoded.rings[0].name, "fleet.shard0");
   ASSERT_EQ(decoded.rings[0].events.size(), 3u);
-  EXPECT_EQ(decoded.rings[0].events[1].type, obs::kFlightKillWorker);
+  EXPECT_EQ(decoded.rings[0].events[1].type, obs::kFlightRestore);
   EXPECT_EQ(decoded.rings[0].events[1].arg0, 2u);
-  EXPECT_EQ(decoded.rings[0].events[2].type, obs::kFlightEvict);
+  EXPECT_EQ(decoded.rings[0].events[2].type, obs::kFlightSloExhausted);
   EXPECT_EQ(decoded.rings[0].events[2].arg1, 42u);
 }
 
-// ---- Live scrape during a running chaos fleet -----------------------------
+// ---- Live scrape during a running fleet -----------------------------------
 
-// The acceptance claim: scraping /metrics while a 10k-tenant chaos fleet is
-// running returns internally consistent per-shard counters — the sum over
-// shard-labeled series equals the fleet total in the same scrape, because
-// both are rendered from one set of published per-shard snapshots.
-TEST(ObsPlane, LiveScrapeIsConsistentDuringChaosFleet) {
+// The acceptance claim: scraping /metrics while a 10k-tenant fleet runs its
+// shards on pool threads returns internally consistent per-shard counters —
+// the sum over shard-labeled series equals the fleet total in the same
+// scrape, because both are rendered from one set of published per-shard
+// snapshots.
+TEST(ObsPlane, LiveScrapeIsConsistentDuringFleetRun) {
   constexpr size_t kTenants = 10000;
   Workload w;
   w.tenants.reserve(kTenants);
@@ -450,23 +451,23 @@ TEST(ObsPlane, LiveScrapeIsConsistentDuringChaosFleet) {
     EXPECT_EQ(json.front(), '[');
   };
 
-  fleet::ChaosOptions chaos;
-  chaos.num_workers = 4;
-  chaos.rounds_per_tick = 16;
-  chaos.scope = &scope;
-  chaos.slo = &slo;
-  chaos.recorder = &recorder;
+  fleet::FleetOptions options;
+  options.num_shards = 4;
+  options.rounds_per_tick = 16;
+  options.scope = &scope;
+  options.slo = &slo;
+  options.recorder = &recorder;
   ThreadPool pool(2);
-  chaos.pool = &pool;
-  fleet::ChaosFleetRunner runner(chaos);
+  options.pool = &pool;
+  fleet::FleetRunner runner(options);
 
   std::thread scraper([&] {
-    while (!done.load()) scrape_once(chaos.num_workers);
+    while (!done.load()) scrape_once(options.num_shards);
   });
   std::vector<RunResult> results = runner.RunAll(w.jobs);
   done.store(true);
   scraper.join();
-  scrape_once(chaos.num_workers);  // final state is also consistent
+  scrape_once(options.num_shards);  // final state is also consistent
 
   EXPECT_GE(scrapes_with_data.load(), 1u);
   EXPECT_EQ(inconsistencies.load(), 0u);

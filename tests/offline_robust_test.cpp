@@ -89,8 +89,8 @@ workload::UncertainInstance TinyWindowedSet(Rng& rng, bool weighted) {
   return set;
 }
 
-offline::RobustOptions RobustBase(uint32_t m, uint64_t delta) {
-  offline::RobustOptions options;
+offline::OptimalOptions RobustBase(uint32_t m, uint64_t delta) {
+  offline::OptimalOptions options;
   options.num_resources = m;
   options.cost_model.delta = delta;
   return options;

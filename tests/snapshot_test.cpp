@@ -2,7 +2,7 @@
 // the codec must round-trip values and reject corrupted/truncated/misordered
 // streams loudly, and Snapshot → Restore into a *different* session object
 // must continue bit-identically to the uninterrupted run — the property the
-// chaos fleet's migration paths stand on.
+// dist fleet's migration and failover paths stand on.
 #include <algorithm>
 #include <optional>
 #include <span>

@@ -248,23 +248,6 @@ TEST(SampleSet, SingleSample) {
   EXPECT_DOUBLE_EQ(s.Quantile(1.0), 7.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1);   // underflow
-  h.Add(0);    // bucket 0
-  h.Add(1.9);  // bucket 0
-  h.Add(2.0);  // bucket 1
-  h.Add(9.99); // bucket 4
-  h.Add(10.0); // overflow
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_FALSE(h.ToAscii().empty());
-}
-
 // ---------------------------------------------------------------- Str ----
 
 TEST(Str, SplitKeepsEmptyFields) {

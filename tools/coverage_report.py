@@ -9,7 +9,7 @@ Usage:
 Drives the whole flow:
   1. configure the build dir with -DRRS_COVERAGE=ON (tests only; bench and
      examples are skipped — the test suite is what drives coverage),
-  2. build and run ctest (pass e.g. --ctest-args "-L chaos" to restrict),
+  2. build and run ctest (pass e.g. --ctest-args "-L dist" to restrict),
   3. summarize line coverage for src/:
        * clang builds: llvm-profdata merge + llvm-cov export -summary-only
          over every test binary (source-based coverage, exact union),
@@ -199,7 +199,7 @@ def build_arg_parser():
                             os.path.abspath(__file__))))
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
     parser.add_argument("--ctest-args", default="",
-                        help="extra args for ctest, e.g. '-L chaos'")
+                        help="extra args for ctest, e.g. '-L dist'")
     parser.add_argument("--skip-build", action="store_true",
                         help="reuse an already-configured coverage build")
     parser.add_argument("--fail-under", "--min-line-coverage",

@@ -164,18 +164,6 @@ void Render(const Frame& now, const Frame& prev,
                   row.tenant, row.shard, row.window_misses, row.burn);
     }
   }
-
-  // Chaos counters appear once a chaos run has absorbed into the scope.
-  const double chaos_ticks = now.Get("rrs_fleet_chaos_ticks");
-  if (chaos_ticks > 0) {
-    std::printf(
-        "\nchaos: %.0f ticks | %.0f kills | %.0f evictions | %.0f restores "
-        "| %.0f migrations\n",
-        chaos_ticks, now.Get("rrs_fleet_chaos_kills"),
-        now.Get("rrs_fleet_chaos_evictions"),
-        now.Get("rrs_fleet_chaos_restores"),
-        now.Get("rrs_fleet_chaos_migrations"));
-  }
 }
 
 // One scrape target in --endpoints mode: "8081" or "10.0.0.2:8081".
