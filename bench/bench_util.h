@@ -1,30 +1,16 @@
-// Shared helpers for the bench binaries: header/footer formatting for the
-// experiment tables (so every table in bench_output.txt carries its paper
-// claim next to the measurement) and the usable-CPU count the perf reports
-// record.
+// Shared helper for the bench binaries: the usable-CPU count the perf
+// reports record.
 #pragma once
 
 #include <sched.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
 
-#include "util/table.h"
-
 namespace rrs {
 namespace bench {
-
-inline void PrintExperiment(const std::string& id, const std::string& claim,
-                            const Table& table) {
-  std::printf("==============================================================\n");
-  std::printf("%s\n", id.c_str());
-  std::printf("paper claim: %s\n", claim.c_str());
-  std::printf("--------------------------------------------------------------\n");
-  std::printf("%s\n", table.ToAscii().c_str());
-}
 
 // CPUs this process can actually run on: the smaller of its affinity mask
 // and the cgroup v2 `cpu.max` quota / period, rounded down, at least 1.

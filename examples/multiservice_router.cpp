@@ -7,7 +7,6 @@
 //                         [--csv=out.csv]
 #include <cstdio>
 
-#include "analysis/runner.h"
 #include "core/engine.h"
 #include "offline/lower_bound.h"
 #include "reduce/pipeline.h"

@@ -1,8 +1,8 @@
 // Experiment exporter: runs the full table-producing experiment suite
-// (E1..E14, default parameters) and writes each table as CSV and JSON into
-// an output directory, printing the ASCII form along the way. The
-// machine-readable exports are what a paper-reproduction artifact review
-// would consume.
+// (E1-E8, E10, E13-E15, default parameters) and writes each table as CSV
+// and JSON into an output directory, printing the ASCII form along the way.
+// The machine-readable exports are what a paper-reproduction artifact
+// review would consume.
 //
 //   ./run_experiments [--outdir=results] [--only=E1]
 #include <cstdio>

@@ -2,8 +2,9 @@
 // returning a printable/CSV-able Table. The paper (IPPS 2007) has no
 // empirical tables or figures — its evaluation is analytic (Theorems 1-3,
 // Lemmas 3.1-3.5, Appendices A and B) — so each experiment here turns one
-// analytic claim into a measured table. Bench binaries are thin wrappers
-// around these functions; tests call them directly and assert the claims.
+// analytic claim into a measured table. run_experiments prints them through
+// analysis::ExperimentSuite(); tests call them directly and assert the
+// claims.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "analysis/experiments.h"
-#include "analysis/runner.h"
 #include "core/engine.h"
 #include "reduce/pipeline.h"
 #include "sched/dlru.h"

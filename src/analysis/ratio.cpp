@@ -5,9 +5,7 @@
 #include "offline/clairvoyant.h"
 #include "offline/lower_bound.h"
 #include "offline/optimal.h"
-#include "offline/robust_optimal.h"
 #include "parallel/thread_pool.h"
-#include "workload/uncertain.h"
 
 namespace rrs {
 namespace analysis {
@@ -41,35 +39,6 @@ RatioReport MeasureRatio(const Instance& instance, uint64_t online_cost,
   return out;
 }
 
-std::optional<ExactRatio> MeasureExactRatio(const Instance& instance,
-                                            uint64_t online_cost, uint32_t m,
-                                            const CostModel& model,
-                                            uint64_t max_states) {
-  const RatioReport report =
-      MeasureRatio(instance, online_cost, m, model, max_states);
-  if (!report.exact) return std::nullopt;
-
-  ExactRatio out;
-  out.online_cost = online_cost;
-  out.optimal_cost = report.opt_upper;
-  out.ratio = report.ratio_lower;
-  return out;
-}
-
-RatioBracket MeasureRatioBracket(const Instance& instance,
-                                 uint64_t online_cost, uint32_t m,
-                                 const CostModel& model) {
-  RatioBracket out;
-  out.online_cost = online_cost;
-  out.lower_bound = offline::LowerBound(instance, m, model);
-  auto heuristic = offline::ClairvoyantCost(instance, m, model);
-  out.heuristic_cost = heuristic.total_cost;
-  out.heuristic_policy = heuristic.best_policy;
-  out.ratio_lower = SafeRatio(online_cost, out.heuristic_cost);
-  out.ratio_upper = SafeRatio(online_cost, out.lower_bound);
-  return out;
-}
-
 std::vector<RatioBracket> MeasureRatioBrackets(
     ThreadPool& pool, const Instance& instance,
     std::span<const uint64_t> online_costs, uint32_t m,
@@ -92,27 +61,6 @@ std::vector<RatioBracket> MeasureRatioBrackets(
     bracket.ratio_upper = SafeRatio(cost, bracket.lower_bound);
     out.push_back(std::move(bracket));
   }
-  return out;
-}
-
-RobustRatioReport MeasureRobustRatio(const workload::UncertainInstance& set,
-                                     uint64_t online_cost, uint32_t m,
-                                     const CostModel& model,
-                                     uint64_t max_states) {
-  offline::OptimalOptions options;
-  options.num_resources = m;
-  options.cost_model = model;
-  options.max_states = max_states;
-  const offline::RobustResult robust = offline::SolveRobust(set, options);
-
-  RobustRatioReport out;
-  out.exact = robust.exact;
-  out.online_cost = online_cost;
-  out.opt_lower = robust.lower_bound;
-  out.opt_upper = robust.upper_bound;
-  out.states_expanded = robust.states_expanded;
-  out.ratio_lower = SafeRatio(online_cost, robust.upper_bound);
-  out.ratio_upper = SafeRatio(online_cost, robust.lower_bound);
   return out;
 }
 

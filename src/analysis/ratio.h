@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,17 +23,7 @@ namespace rrs {
 
 class ThreadPool;
 
-namespace workload {
-class UncertainInstance;
-}  // namespace workload
-
 namespace analysis {
-
-struct ExactRatio {
-  uint64_t online_cost = 0;
-  uint64_t optimal_cost = 0;
-  double ratio = 0;  // online / max(optimal, 1); 1.0 when both are zero
-};
 
 // Solver-backed ratio report: exact when the search completed, otherwise the
 // certified OPT bracket it returned. states_expanded records the search
@@ -54,13 +43,6 @@ RatioReport MeasureRatio(const Instance& instance, uint64_t online_cost,
                          uint32_t m, const CostModel& model,
                          uint64_t max_states = 5'000'000);
 
-// Exact ratio; nullopt if the optimal solver exceeds its state budget.
-// Thin wrapper over MeasureRatio for callers that only want exact answers.
-std::optional<ExactRatio> MeasureExactRatio(const Instance& instance,
-                                            uint64_t online_cost, uint32_t m,
-                                            const CostModel& model,
-                                            uint64_t max_states = 5'000'000);
-
 struct RatioBracket {
   uint64_t online_cost = 0;
   uint64_t lower_bound = 0;      // certified LB on OPT
@@ -71,11 +53,7 @@ struct RatioBracket {
   double ratio_upper = 0;
 };
 
-RatioBracket MeasureRatioBracket(const Instance& instance,
-                                 uint64_t online_cost, uint32_t m,
-                                 const CostModel& model);
-
-// Batched bracket for several online costs against the same
+// Solver-free brackets for one or more online costs against the same
 // (instance, m, model). The certified bounds depend only on those shared
 // arguments, so the lower bound and the clairvoyant heuristic are computed
 // once — concurrently on `pool` — instead of once per online cost.
@@ -84,27 +62,6 @@ std::vector<RatioBracket> MeasureRatioBrackets(
     ThreadPool& pool, const Instance& instance,
     std::span<const uint64_t> online_costs, uint32_t m,
     const CostModel& model);
-
-// Robust (interval-uncertainty) ratio report: the certified OPT bracket from
-// offline::SolveRobust over the whole window set, and the worst-case ratio
-// bracket it induces for an online cost guaranteed across the set —
-//   online/opt_upper <= worst-case true ratio <= online/opt_lower
-// for every concrete trace. `exact` records search completion; exhaustion
-// only widens the bracket.
-struct RobustRatioReport {
-  bool exact = false;
-  uint64_t online_cost = 0;
-  uint64_t opt_lower = 0;
-  uint64_t opt_upper = 0;
-  uint64_t states_expanded = 0;
-  double ratio_lower = 0;
-  double ratio_upper = 0;
-};
-
-RobustRatioReport MeasureRobustRatio(const workload::UncertainInstance& set,
-                                     uint64_t online_cost, uint32_t m,
-                                     const CostModel& model,
-                                     uint64_t max_states = 5'000'000);
 
 }  // namespace analysis
 }  // namespace rrs

@@ -53,10 +53,10 @@ struct RunResult {
   uint64_t arrived = 0;
   Round rounds_simulated = 0;
   std::vector<uint64_t> drops_per_color;
-  // Structured per-run snapshot: cost totals, per-color drop/reconfig
-  // vectors, sampled per-phase wall-time summaries, and the policy's
+  // Structured per-run snapshot beyond the figures above: per-color
+  // reconfigs, sampled per-phase wall-time summaries, and the policy's
   // counters (SchedulerPolicy::ExportMetrics). The counters are populated
-  // at every obs level; the phase/per-color fields are empty at
+  // at every obs level; the phase and per-color fields are empty at
   // RRS_OBS_LEVEL=0.
   obs::Telemetry telemetry;
   std::optional<Schedule> schedule;  // present iff options.record_schedule

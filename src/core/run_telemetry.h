@@ -6,8 +6,8 @@
 //
 // The counters snapshot runs at every obs level (it is end-of-run, not hot
 // path), so harness code can read policy counters even when the
-// instrumentation layer is compiled out; the phase timings and per-color
-// vectors require RRS_OBS_LEVEL >= 1.
+// instrumentation layer is compiled out; the phase timings and the
+// per-color reconfig vector require RRS_OBS_LEVEL >= 1.
 //
 // Internal header (engine implementations only).
 #pragma once
@@ -34,14 +34,8 @@ inline void FinalizeRunTelemetry(const SchedulerPolicy& policy,
     telemetry.counters[name] = value;
   }
 #if RRS_OBS_LEVEL >= 1
-  telemetry.arrived = result.arrived;
-  telemetry.executed = result.executed;
-  telemetry.drops = result.cost.drops;
-  telemetry.reconfigs = result.cost.reconfigurations;
-  telemetry.rounds = static_cast<uint64_t>(result.rounds_simulated);
-  telemetry.drops_per_color = result.drops_per_color;
   telemetry.reconfigs_per_color = reconfigs_per_color;
-  instruments.Finalize(telemetry);
+  instruments.Finalize(result);
 #else
   (void)instruments;
   (void)reconfigs_per_color;

@@ -286,12 +286,6 @@ void PutResult(snapshot::Writer& w, uint64_t tenant,
   w.PutVec(result.drops_per_color);
   // Telemetry: the deterministic fields only (phase wall times are
   // per-machine noise and excluded from oracle comparisons anyway).
-  w.PutU64(result.telemetry.arrived);
-  w.PutU64(result.telemetry.executed);
-  w.PutU64(result.telemetry.drops);
-  w.PutU64(result.telemetry.reconfigs);
-  w.PutU64(result.telemetry.rounds);
-  w.PutVec(result.telemetry.drops_per_color);
   w.PutVec(result.telemetry.reconfigs_per_color);
   w.PutU64(result.telemetry.counters.size());
   for (const auto& [name, value] : result.telemetry.counters) {
@@ -313,12 +307,6 @@ void GetResult(snapshot::Reader& r, TenantResult* out) {
   result.arrived = r.GetU64();
   result.rounds_simulated = r.GetI64();
   r.GetVec(result.drops_per_color);
-  result.telemetry.arrived = r.GetU64();
-  result.telemetry.executed = r.GetU64();
-  result.telemetry.drops = r.GetU64();
-  result.telemetry.reconfigs = r.GetU64();
-  result.telemetry.rounds = r.GetU64();
-  r.GetVec(result.telemetry.drops_per_color);
   r.GetVec(result.telemetry.reconfigs_per_color);
   const uint64_t counters = r.GetU64();
   for (uint64_t i = 0; i < counters; ++i) {

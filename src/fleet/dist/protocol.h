@@ -45,7 +45,10 @@ namespace dist {
 // v4: the bodies the controller never read are gone: Bye, RestoreAck and
 // the ConfigAck replies to AddInstances/AddTenants/AddSources are
 // header-only frames.
-inline constexpr uint64_t kProtocolVersion = 4;
+// v5: a TenantResult sends each run figure once: the telemetry block drops
+// its copies of arrived, executed, drops, reconfigs, rounds and per-color
+// drops, which the RunResult fields already carry.
+inline constexpr uint64_t kProtocolVersion = 5;
 
 enum MsgType : uint64_t {
   kMsgHello = 1,           // worker -> ctl: index, pid, protocol, metrics port

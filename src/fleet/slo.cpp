@@ -9,9 +9,7 @@
 namespace rrs {
 namespace fleet {
 
-// Per-tenant rolling-window state. Written only by the worker hosting the
-// tenant for the current tick (tick barriers order any handoff between
-// shards).
+// Per-tenant rolling-window state. Written only by the tenant's shard.
 struct SloTracker::TenantSlot {
   uint64_t last_rounds = 0;   // cumulative marks: Observe works on deltas
   uint64_t last_misses = 0;
@@ -19,9 +17,9 @@ struct SloTracker::TenantSlot {
   uint64_t window_misses = 0;
   bool seen = false;
   bool exhausted = false;
-  // On some shard's worst-burn list. Lets UpdateTop skip its linear scan for
-  // the common tenant that has no current-window misses and never made a
-  // list — the dominant UpdateTop call at fleet scale.
+  // On its shard's worst-burn list. Lets UpdateTop skip its linear scan for
+  // the common tenant that has no current-window misses and is not listed —
+  // the dominant UpdateTop call at fleet scale.
   bool in_top = false;
 };
 
@@ -78,26 +76,23 @@ double Burn(uint64_t window_misses, uint64_t budget) {
 void SloTracker::UpdateTop(ShardState& shard, TenantSlot& slot,
                            uint64_t tenant, uint64_t window_misses) {
   auto& top = shard.acc.top;
-  if (!slot.in_top) {
-    // Fast paths: a tenant that has never made a worst-burn list cannot be
-    // on this one — nothing to report, or (list full) not enough misses to
-    // displace the weakest member.
-    if (window_misses == 0) return;
-    if (top.size() >= options_.top_k && window_misses <= shard.top_weakest) {
-      return;
-    }
-  } else {
-    for (auto& entry : top) {
-      if (entry.tenant == tenant) {
-        entry.window_misses = window_misses;
-        entry.burn = Burn(window_misses, options_.miss_budget);
-        shard.top_weakest = std::min(shard.top_weakest, window_misses);
-        return;
-      }
-    }
-    // Listed on another shard (the tenant moved); fall through to this
-    // shard's insert path, same as the scan-miss always did.
-    if (window_misses == 0) return;
+  if (slot.in_top) {
+    // A listed tenant is on this shard's list: tenants never change shards.
+    auto listed = std::find_if(top.begin(), top.end(),
+                               [tenant](const TenantBurn& entry) {
+                                 return entry.tenant == tenant;
+                               });
+    RRS_DCHECK(listed != top.end());
+    listed->window_misses = window_misses;
+    listed->burn = Burn(window_misses, options_.miss_budget);
+    shard.top_weakest = std::min(shard.top_weakest, window_misses);
+    return;
+  }
+  // Fast paths: an unlisted tenant with nothing to report, or (list full)
+  // not enough misses to displace the weakest member.
+  if (window_misses == 0) return;
+  if (top.size() >= options_.top_k && window_misses <= shard.top_weakest) {
+    return;
   }
   const TenantBurn entry{tenant, window_misses,
                          Burn(window_misses, options_.miss_budget)};
@@ -119,9 +114,6 @@ void SloTracker::UpdateTop(ShardState& shard, TenantSlot& slot,
     }
   }
   if (top[weakest].window_misses < window_misses) {
-    // The evicted tenant may survive on another shard's list after a move
-    // between shards; its cleared flag only means the next update pays a
-    // scan.
     tenants_[top[weakest].tenant].in_top = false;
     top[weakest] = entry;
     slot.in_top = true;
@@ -236,8 +228,7 @@ void SloTracker::Retire(size_t shard_index, size_t tenant) {
   // Retire from the worst-burn list: the list is a live view of current
   // burners, and this tenant is leaving. For a tenant whose whole life was
   // one Finish (short sessions at fleet scale), no list work happens at
-  // all. An entry the tenant left on another shard stays behind, exactly as
-  // the old scan-miss left it.
+  // all.
   if (slot.in_top) {
     auto& top = shard.acc.top;
     for (size_t i = 0; i < top.size(); ++i) {

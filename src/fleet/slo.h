@@ -7,14 +7,19 @@
 // the session's cumulative (rounds, misses), one Finish when the tenant
 // completes — and Publish a shard's aggregate once per tick.
 //
+// One shard per tenant: every Observe, Finish and Retire of a tenant names
+// the same shard for the tracker's whole Bind. FleetRunner feeds tenant j on
+// shard j % num_shards, and the dist controller feeds every tenant on shard
+// 0 at its barrier, so no tenant moves between shards. A tenant's slot and
+// worst-burn entry therefore live with its one shard.
+//
 // Determinism contract: all accounting happens at tick barriers on the
-// worker that owns the tenant for that tick, and every quantity is a pure
-// function of the tenant's observation sequence. Since shard/worker
-// assignment and tick schedules are thread-count-invariant (FleetRunner's
-// j % num_shards affinity; the dist controller's one shard, fed at its
-// barrier), the entire SLO state — including which window a miss lands in —
-// is bit-identical at any thread count. Scrapes never mutate: they read the
-// per-shard snapshots copied at the last Publish, under that shard's mutex.
+// tenant's shard, and every quantity is a pure function of the tenant's
+// observation sequence. Since shard assignment and tick schedules are
+// thread-count-invariant, the entire SLO state — including which window a
+// miss lands in — is bit-identical at any thread count. Scrapes never
+// mutate: they read the per-shard snapshots copied at the last Publish,
+// under that shard's mutex.
 //
 // Hot-path cost: Observe touches one tenant slot and one shard accumulator
 // block (both shard-owned between barriers — no atomics, no locks) and
@@ -73,11 +78,8 @@ class SloTracker {
     uint64_t exhausted_events = 0; // budget-exhaustion transitions
     uint64_t tenants_seen = 0;     // distinct tenants observed
     uint64_t tenants_finished = 0;
-    // Tenants whose current window is over budget. Signed: a tenant fed
-    // from more than one shard may exhaust on one and roll its window on
-    // another, so a single shard's value can dip negative transiently; the
-    // sum over shards (the fleet total) is always >= 0 and exact.
-    int64_t tenants_out_of_budget = 0;
+    // Tenants whose current window is over budget.
+    uint64_t tenants_out_of_budget = 0;
     obs::LogHistogram miss_delay;  // misses by delay class (delay bound)
     std::vector<TenantBurn> top;   // worst burn first
   };

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "core/engine.h"
+
 namespace rrs {
 namespace obs {
 
@@ -14,16 +16,18 @@ Scope* g_global_scope = nullptr;
 Scope* GlobalScope() { return g_global_scope; }
 void SetGlobalScope(Scope* scope) { g_global_scope = scope; }
 
-void Scope::Absorb(const Telemetry& telemetry, const LogHistogram* phase_ns) {
+void Scope::Absorb(const RunResult& result, const LogHistogram* phase_ns) {
+  const Telemetry& telemetry = result.telemetry;
   std::lock_guard<std::mutex> lock(mutex_);
   ++runs_absorbed_;
   registry_.counter("engine.runs").Add(1);
-  registry_.counter("engine.rounds").Add(telemetry.rounds);
-  registry_.counter("engine.arrived").Add(telemetry.arrived);
-  registry_.counter("engine.executed").Add(telemetry.executed);
-  registry_.counter("engine.drops").Add(telemetry.drops);
-  registry_.counter("engine.reconfigs").Add(telemetry.reconfigs);
-  AbsorbPerColor(telemetry.drops_per_color, "engine.drops.color",
+  registry_.counter("engine.rounds")
+      .Add(static_cast<uint64_t>(result.rounds_simulated));
+  registry_.counter("engine.arrived").Add(result.arrived);
+  registry_.counter("engine.executed").Add(result.executed);
+  registry_.counter("engine.drops").Add(result.cost.drops);
+  registry_.counter("engine.reconfigs").Add(result.cost.reconfigurations);
+  AbsorbPerColor(result.drops_per_color, "engine.drops.color",
                  drops_by_color_);
   AbsorbPerColor(telemetry.reconfigs_per_color, "engine.reconfigs.color",
                  reconfigs_by_color_);
@@ -141,11 +145,11 @@ void RunInstruments::Rebind(Scope* scope, const char* engine_name) {
   }
 }
 
-void RunInstruments::Finalize(Telemetry& telemetry) {
+void RunInstruments::Finalize(RunResult& result) {
   for (int p = 0; p < kNumPhases; ++p) {
-    telemetry.phase[p] = SummarizePhase(phase_ns_[p]);
+    result.telemetry.phase[p] = SummarizePhase(phase_ns_[p]);
   }
-  if (scope_ != nullptr) scope_->Absorb(telemetry, phase_ns_);
+  if (scope_ != nullptr) scope_->Absorb(result, phase_ns_);
 }
 
 #endif  // RRS_OBS_LEVEL >= 1

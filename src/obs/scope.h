@@ -35,6 +35,9 @@
 #include "obs/trace.h"
 
 namespace rrs {
+
+struct RunResult;
+
 namespace obs {
 
 class Scope {
@@ -59,9 +62,10 @@ class Scope {
   }
 
   // Folds one finished run into the aggregate registry (thread-safe):
-  // engine.* counters, per-color drop/reconfig counters, per-phase duration
-  // histograms, and the run's structured policy counters.
-  void Absorb(const Telemetry& telemetry, const LogHistogram* phase_ns);
+  // engine.* counters and per-color drops from the RunResult, per-color
+  // reconfigs and policy counters from its telemetry, and per-phase duration
+  // histograms.
+  void Absorb(const RunResult& result, const LogHistogram* phase_ns);
 
   // Generic absorption for non-engine producers (e.g. the offline solver):
   // adds each (name, delta) into the aggregate counters / merges a finished
@@ -168,9 +172,9 @@ class RunInstruments {
     }
   }
 
-  // Fills telemetry's phase summaries and folds the run into the scope (if
-  // any). Call once, after the telemetry counters are populated.
-  void Finalize(Telemetry& telemetry);
+  // Fills the run's telemetry phase summaries and folds the run into the
+  // scope (if any). Call once, after the telemetry counters are populated.
+  void Finalize(RunResult& result);
 
  private:
   Scope* scope_ = nullptr;
@@ -191,7 +195,7 @@ class RunInstruments {
   static constexpr bool ShouldSample(Round) { return false; }
   void RecordPhase(int, Round, uint64_t, uint64_t) {}
   void EmitRecolor(Round, ResourceId) {}
-  void Finalize(Telemetry&) {}
+  void Finalize(RunResult&) {}
 };
 
 #endif

@@ -1,7 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <cstdio>
-
 #include "obs/metrics.h"
 
 namespace rrs {
@@ -30,24 +28,6 @@ PhaseStat SummarizePhase(const LogHistogram& hist) {
   stat.p99_ns = hist.Quantile(0.99);
   stat.max_ns = hist.max();
   return stat;
-}
-
-std::string Telemetry::SummaryLine() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "telemetry: rounds=%llu drops=%llu reconfigs=%llu executed=%llu",
-                static_cast<unsigned long long>(rounds),
-                static_cast<unsigned long long>(drops),
-                static_cast<unsigned long long>(reconfigs),
-                static_cast<unsigned long long>(executed));
-  std::string out = buf;
-  for (int p = 0; p < kNumPhases; ++p) {
-    if (phase[p].samples == 0) continue;
-    std::snprintf(buf, sizeof(buf), " %s[p50/p99]=%.0f/%.0fns", PhaseName(p),
-                  phase[p].p50_ns, phase[p].p99_ns);
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace obs

@@ -1,9 +1,11 @@
 // Telemetry: the structured per-run snapshot carried by RunResult.
 //
-// The snapshot is cheap plain data — cost totals, per-color drop/reconfig
-// vectors, per-phase wall-time summaries (from sampled LogHistograms), and a
-// flat counter map fed by SchedulerPolicy::ExportMetrics — so harness code
-// can aggregate it without touching the obs runtime.
+// The snapshot holds what RunResult's own figures do not: per-color
+// reconfiguration counts, per-phase wall-time summaries (from sampled
+// LogHistograms), and a flat counter map fed by
+// SchedulerPolicy::ExportMetrics. The run's totals (arrived, executed,
+// drops, reconfigurations, rounds, per-color drops) live in RunResult only,
+// so harness code reads one record at every obs level.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +43,6 @@ struct PhaseStat {
 PhaseStat SummarizePhase(const LogHistogram& hist);
 
 struct Telemetry {
-  uint64_t arrived = 0;
-  uint64_t executed = 0;
-  uint64_t drops = 0;
-  uint64_t reconfigs = 0;
-  uint64_t rounds = 0;
-
-  std::vector<uint64_t> drops_per_color;
   std::vector<uint64_t> reconfigs_per_color;
 
   PhaseStat phase[kNumPhases];
@@ -55,10 +50,6 @@ struct Telemetry {
   // Structured policy/extension counters (SchedulerPolicy::ExportMetrics,
   // flattened).
   std::map<std::string, double> counters;
-
-  // One-line human summary: drops, reconfigs, and per-phase p50/p99 — the
-  // self-describing footer every experiment run prints.
-  std::string SummaryLine() const;
 };
 
 }  // namespace obs

@@ -81,14 +81,4 @@ void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end, Fn&& fn,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-// Parallel map: out[i] = fn(i) for i in [0, n). Result type must be
-// default-constructible.
-template <typename Result, typename Fn>
-std::vector<Result> ParallelMap(ThreadPool& pool, size_t n, Fn&& fn) {
-  std::vector<Result> out(n);
-  ParallelFor(pool, 0, static_cast<int64_t>(n),
-              [&](int64_t i) { out[static_cast<size_t>(i)] = fn(static_cast<size_t>(i)); });
-  return out;
-}
-
 }  // namespace rrs

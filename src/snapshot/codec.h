@@ -72,7 +72,7 @@ enum Tag : uint64_t {
   kTagDistTrace = 19,
   kTagDistCheckpoint = 20,
   // Streaming arrival generators (workload/arrival_source.h): one section
-  // per source in a chain (wrappers append their inner sources' sections).
+  // per source.
   kTagArrivalSource = 21,
   // A GeneratorSpec shipped over the dist wire (workload/generator_spec.h).
   kTagDistSource = 22,

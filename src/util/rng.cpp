@@ -40,13 +40,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  RRS_CHECK_LE(lo, hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
 }
@@ -57,20 +50,6 @@ uint64_t Rng::Poisson(double mean) {
   if (mean < kPoissonSplitMean) return PoissonKnuth(std::exp(-mean));
   const double half = mean / 2;
   return Poisson(half) + Poisson(mean - half);
-}
-
-double Rng::Exponential(double rate) {
-  RRS_CHECK_GT(rate, 0.0);
-  // -log(1 - U) avoids log(0) since UniformDouble() < 1.
-  return -std::log1p(-UniformDouble()) / rate;
-}
-
-uint64_t Rng::Geometric(double p) {
-  RRS_CHECK_GT(p, 0.0);
-  RRS_CHECK_LE(p, 1.0);
-  if (p == 1.0) return 0;
-  double u = UniformDouble();
-  return static_cast<uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
 }
 
 Rng Rng::Fork() {

@@ -5,9 +5,9 @@
 // reproducible from a 64-bit seed. Rng satisfies the C++ UniformRandomBitGenerator
 // requirements and can therefore be used with <random> distributions, but the
 // distributions needed by the workload generators (uniform, Bernoulli,
-// Poisson, exponential, Zipf, geometric) are provided here directly with
-// stable cross-platform behavior (std:: distributions are not guaranteed to
-// produce identical streams across standard libraries).
+// Poisson, Zipf) are provided here directly with stable cross-platform
+// behavior (std:: distributions are not guaranteed to produce identical
+// streams across standard libraries).
 #pragma once
 
 #include <array>
@@ -90,9 +90,6 @@ class Rng {
   // rejection method for unbiased results.
   uint64_t NextBounded(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1): 53 random bits.
   double UniformDouble() {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -121,12 +118,6 @@ class Rng {
     if (m.limit() > 0) return PoissonKnuth(m.limit());
     return Poisson(m.mean());
   }
-
-  // Exponential with the given rate (> 0).
-  double Exponential(double rate);
-
-  // Geometric number of failures before first success, success prob p in (0,1].
-  uint64_t Geometric(double p);
 
   // Fisher-Yates shuffle.
   template <typename T>

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/check.h"
-
 namespace rrs {
 
 void RunningStats::Add(double x) {
@@ -56,48 +54,6 @@ std::string RunningStats::ToString() const {
   os << "n=" << count_ << " mean=" << mean() << " sd=" << stddev()
      << " min=" << min() << " max=" << max();
   return os.str();
-}
-
-void SampleSet::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0;
-  double s = 0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::min() const {
-  RRS_CHECK(!samples_.empty());
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleSet::max() const {
-  RRS_CHECK(!samples_.empty());
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-void SampleSet::EnsureSorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double SampleSet::Quantile(double q) const {
-  RRS_CHECK(!samples_.empty());
-  RRS_CHECK_GE(q, 0.0);
-  RRS_CHECK_LE(q, 1.0);
-  EnsureSorted();
-  if (samples_.size() == 1) return samples_[0];
-  double pos = q * static_cast<double>(samples_.size() - 1);
-  size_t i = static_cast<size_t>(pos);
-  double frac = pos - static_cast<double>(i);
-  if (i + 1 >= samples_.size()) return samples_.back();
-  return samples_[i] * (1 - frac) + samples_[i + 1] * frac;
 }
 
 }  // namespace rrs

@@ -1,10 +1,9 @@
-// Streaming summary statistics and sample sets for experiment reporting.
+// Streaming summary statistics for experiment reporting.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace rrs {
 
@@ -37,32 +36,6 @@ class RunningStats {
   double m2_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-// Stores all samples; supports exact quantiles. Used where sample counts are
-// modest (per-experiment distributions), not in hot loops.
-class SampleSet {
- public:
-  void Add(double x);
-  void Reserve(size_t n) { samples_.reserve(n); }
-
-  size_t count() const { return samples_.size(); }
-  double mean() const;
-  double min() const;
-  double max() const;
-
-  // Exact quantile by linear interpolation between order statistics;
-  // q in [0, 1]. Requires at least one sample.
-  double Quantile(double q) const;
-  double Median() const { return Quantile(0.5); }
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  void EnsureSorted() const;
-
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 }  // namespace rrs

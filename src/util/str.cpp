@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 
 namespace rrs {
@@ -76,28 +75,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
-std::string HumanCount(double v) {
-  const char* suffix = "";
-  double a = std::fabs(v);
-  if (a >= 1e9) {
-    v /= 1e9;
-    suffix = "G";
-  } else if (a >= 1e6) {
-    v /= 1e6;
-    suffix = "M";
-  } else if (a >= 1e3) {
-    v /= 1e3;
-    suffix = "k";
-  }
-  char buf[64];
-  if (*suffix) {
-    std::snprintf(buf, sizeof(buf), "%.1f%s", v, suffix);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
-  }
   return buf;
 }
 

@@ -29,7 +29,4 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 // Fixed-precision double formatting (avoids locale-dependent streams).
 std::string FormatDouble(double v, int precision = 3);
 
-// Human-readable count, e.g. 12345678 -> "12.3M".
-std::string HumanCount(double v);
-
 }  // namespace rrs

@@ -27,9 +27,8 @@
 //   - Reset / SeekRound / SaveState / LoadState make the source a session
 //     object: deterministic re-execution (Reset + replay) and O(state)
 //     checkpoint/restore (the dist fleet migrates live tenants by shipping
-//     engine words + source words; see fleet/dist/). State sections use
-//     snapshot::kTagArrivalSource; wrappers chain their inner sources'
-//     sections after their own.
+//     engine words + source words; see fleet/dist/). A source's state is one
+//     snapshot::kTagArrivalSource section.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +51,9 @@ class ArrivalSource {
 
   // Stable family ids, used both as the snapshot-state discriminator (a
   // LoadState against a different family aborts) and as the wire family of
-  // GeneratorSpec (workload/generator_spec.h).
+  // GeneratorSpec (workload/generator_spec.h). Ids 7-10 belonged to the
+  // retired mix wrappers (time-shift, thin, concat, merge); checkpoint words
+  // carry family ids, so they stay reserved and are never reused.
   enum class Family : uint64_t {
     kInstance = 0,
     kPoisson = 1,
@@ -61,10 +62,6 @@ class ArrivalSource {
     kRouter = 4,
     kDatacenter = 5,
     kMemctrl = 6,
-    kTimeShift = 7,
-    kThin = 8,
-    kConcat = 9,
-    kMerge = 10,
     // reduce::OnlineSolver's push adapter (never shipped as a GeneratorSpec).
     kPush = 11,
   };
@@ -118,12 +115,10 @@ class ArrivalSource {
   // state use LoadState instead.
   virtual void SeekRound(Round r);
 
-  // One kTagArrivalSource section: [family][cursor][family state]. Wrappers
-  // append their inner sources' sections after their own, so a chained
-  // save/load restores the whole source tree. LoadState requires an
-  // identically-configured source.
-  virtual void SaveState(snapshot::Writer& w) const;
-  virtual void LoadState(snapshot::Reader& r);
+  // One kTagArrivalSource section: [family][cursor][family state].
+  // LoadState requires an identically-configured source.
+  void SaveState(snapshot::Writer& w) const;
+  void LoadState(snapshot::Reader& r);
 
   // A fresh source with this source's configuration, reset to round 0.
   // Precomputed stats are copied, not re-scanned — the cheap prototype
@@ -186,9 +181,8 @@ class InstanceSource : public ArrivalSource {
   const Instance* instance_ = nullptr;
 };
 
-// InstanceSource that owns its Instance — for handing adversary or mix
-// outputs to consumers (FleetJob source factories) without external
-// ownership.
+// InstanceSource that owns its Instance — for handing adversary outputs to
+// consumers (FleetJob source factories) without external ownership.
 std::unique_ptr<ArrivalSource> MakeOwnedInstanceSource(Instance instance);
 
 // Replays the source into a materialized Instance: shape()'s color table

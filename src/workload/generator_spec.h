@@ -57,7 +57,7 @@ GeneratorSpec DatacenterSpec(const DatacenterOptions& options);
 GeneratorSpec MemctrlSpec(const MemctrlOptions& options);
 
 // Instantiates the source a spec describes. Aborts on a family that cannot
-// ship as a spec (kInstance and the mix wrappers).
+// ship as a spec (kInstance, kPush and the reserved ids).
 std::unique_ptr<ArrivalSource> MakeSource(const GeneratorSpec& spec);
 
 // One snapshot::kTagDistSource section per spec.

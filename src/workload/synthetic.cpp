@@ -1,9 +1,5 @@
 #include "workload/synthetic.h"
 
-#include <algorithm>
-#include <map>
-
-#include "util/check.h"
 #include "workload/arrival_source.h"
 #include "workload/source.h"
 
@@ -29,29 +25,6 @@ Instance MakeBursty(const std::vector<ColorSpec>& colors,
 Instance MakeZipf(const ZipfOptions& options) {
   ZipfSource source(options);
   return Materialize(source);
-}
-
-Instance BatchArrivals(const Instance& instance, bool rate_limited) {
-  InstanceBuilder builder;
-  for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    builder.AddColor(instance.delay_bound(c), instance.color_name(c));
-  }
-  // Count jobs per (color, batch round); emit clamped.
-  std::map<std::pair<ColorId, Round>, uint64_t> batches;
-  for (const Job& j : instance.jobs()) {
-    Round d = instance.delay_bound(j.color);
-    Round batch = ((j.arrival + d - 1) / d) * d;  // next multiple of D
-    ++batches[{j.color, batch}];
-  }
-  for (const auto& [key, count] : batches) {
-    uint64_t emitted = count;
-    if (rate_limited) {
-      emitted = std::min<uint64_t>(
-          emitted, static_cast<uint64_t>(instance.delay_bound(key.first)));
-    }
-    builder.AddJobs(key.first, key.second, emitted);
-  }
-  return builder.Build();
 }
 
 }  // namespace workload

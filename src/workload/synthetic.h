@@ -64,12 +64,5 @@ struct ZipfOptions {
 // jobs and assigns each a color by Zipf rank.
 Instance MakeZipf(const ZipfOptions& options);
 
-// Generic post-processing: rounds every arrival of color ℓ up to the next
-// multiple of D_ℓ (producing a batched instance) and optionally splits
-// over-full batches is NOT performed here — use reduce::VarBatch for the
-// semantics-preserving transformation. This helper is only for generating
-// already-batched test inputs.
-Instance BatchArrivals(const Instance& instance, bool rate_limited);
-
 }  // namespace workload
 }  // namespace rrs

@@ -1,13 +1,14 @@
 // Tests for src/analysis: ratio helpers and the experiment suite E1-E10.
 // Each experiment's table is checked for shape AND for the paper's claim
 // (ratio growth for E1/E2, boundedness for E3, zero violations for E7, ...).
+#include <span>
+
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.h"
 #include "analysis/ratio.h"
-#include "analysis/runner.h"
-#include "core/engine.h"
-#include "sched/greedy.h"
+#include "core/instance.h"
+#include "parallel/thread_pool.h"
 #include "util/str.h"
 #include "workload/synthetic.h"
 
@@ -21,21 +22,6 @@ double CellAsDouble(const Table& t, size_t row, size_t col) {
   return v.value_or(0);
 }
 
-TEST(Runner, ReportsCostAndThroughput) {
-  InstanceBuilder b;
-  ColorId c = b.AddColor(4);
-  b.AddJobs(c, 0, 4);
-  Instance inst = b.Build();
-  GreedyEdfPolicy policy;
-  EngineOptions options;
-  options.num_resources = 1;
-  auto report = analysis::RunAndReport(inst, policy, options);
-  EXPECT_EQ(report.policy, "greedy-edf");
-  EXPECT_EQ(report.arrived, 4u);
-  EXPECT_EQ(report.executed, 4u);
-  EXPECT_GE(report.wall_seconds, 0.0);
-}
-
 TEST(Ratio, ExactRatioAgainstKnownOptimal) {
   // 5 jobs D=8, delta=3: OPT = 3 (configure). An online algorithm dropping
   // everything costs 5 -> ratio 5/3.
@@ -43,10 +29,10 @@ TEST(Ratio, ExactRatioAgainstKnownOptimal) {
   ColorId c = b.AddColor(8);
   b.AddJobs(c, 0, 5);
   Instance inst = b.Build();
-  auto r = analysis::MeasureExactRatio(inst, 5, 1, CostModel{3});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->optimal_cost, 3u);
-  EXPECT_NEAR(r->ratio, 5.0 / 3.0, 1e-9);
+  auto r = analysis::MeasureRatio(inst, 5, 1, CostModel{3});
+  ASSERT_TRUE(r.exact);
+  EXPECT_EQ(r.opt_upper, 3u);
+  EXPECT_NEAR(r.ratio_lower, 5.0 / 3.0, 1e-9);
 }
 
 TEST(Ratio, BracketOrdersCorrectly) {
@@ -55,9 +41,13 @@ TEST(Ratio, BracketOrdersCorrectly) {
   gen.rounds = 128;
   gen.seed = 71;
   Instance inst = MakePoisson(specs, gen);
-  auto bracket = analysis::MeasureRatioBracket(inst, 500, 2, CostModel{4});
-  EXPECT_LE(bracket.lower_bound, bracket.heuristic_cost);
-  EXPECT_LE(bracket.ratio_lower, bracket.ratio_upper);
+  ThreadPool pool(2);
+  const uint64_t online_cost = 500;
+  auto brackets = analysis::MeasureRatioBrackets(
+      pool, inst, std::span(&online_cost, 1), 2, CostModel{4});
+  ASSERT_EQ(brackets.size(), 1u);
+  EXPECT_LE(brackets[0].lower_bound, brackets[0].heuristic_cost);
+  EXPECT_LE(brackets[0].ratio_lower, brackets[0].ratio_upper);
 }
 
 TEST(ExperimentE1, DlruRatioGrowsWithJ) {

@@ -1,18 +1,14 @@
 // Tests for the artifact layer: schedule serialization round-trips, the
 // mutation-rejection property of the validator (randomly corrupted schedules
-// must be caught), the timeline recorder + Gantt renderer, and the workload
-// composition utilities.
+// must be caught), and the timeline recorder + Gantt renderer.
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "analysis/timeline.h"
 #include "core/engine.h"
-#include "reduce/pipeline.h"
 #include "sched/registry.h"
 #include "util/rng.h"
-#include "workload/mix.h"
-#include "workload/scenarios.h"
 #include "workload/synthetic.h"
 
 namespace rrs {
@@ -194,76 +190,6 @@ TEST(Gantt, RendersSmallSchedule) {
   EXPECT_NE(gantt.find("AAaa"), std::string::npos) << gantt;
   // Resource 1: blue ('b'), executing in round 0 only -> "Bbbb".
   EXPECT_NE(gantt.find("Bbbb"), std::string::npos) << gantt;
-}
-
-// ---------------------------------------------------------- Mix ----
-
-TEST(Mix, MergeRenumbersColors) {
-  Instance a = ArtifactWorkload(17);
-  Instance b = ArtifactWorkload(19);
-  Instance merged = workload::MergeInstances({&a, &b});
-  EXPECT_EQ(merged.num_colors(), a.num_colors() + b.num_colors());
-  EXPECT_EQ(merged.num_jobs(), a.num_jobs() + b.num_jobs());
-  // Delay bounds preserved across the renumbering.
-  for (ColorId c = 0; c < a.num_colors(); ++c) {
-    EXPECT_EQ(merged.delay_bound(c), a.delay_bound(c));
-  }
-  for (ColorId c = 0; c < b.num_colors(); ++c) {
-    EXPECT_EQ(merged.delay_bound(static_cast<ColorId>(a.num_colors()) + c),
-              b.delay_bound(c));
-  }
-}
-
-TEST(Mix, TimeShiftMovesArrivals) {
-  Instance a = ArtifactWorkload(23);
-  Instance shifted = workload::TimeShift(a, 100);
-  EXPECT_EQ(shifted.num_jobs(), a.num_jobs());
-  EXPECT_EQ(shifted.job(0).arrival, a.job(0).arrival + 100);
-  EXPECT_EQ(shifted.horizon(), a.horizon() + 100);
-}
-
-TEST(Mix, ThinIsDeterministicAndProportional) {
-  Instance a = ArtifactWorkload(29);
-  Instance t1 = workload::Thin(a, 0.5, 99);
-  Instance t2 = workload::Thin(a, 0.5, 99);
-  EXPECT_EQ(t1.num_jobs(), t2.num_jobs());
-  EXPECT_LT(t1.num_jobs(), a.num_jobs());
-  EXPECT_GT(t1.num_jobs(), 0u);
-  EXPECT_EQ(workload::Thin(a, 1.0, 1).num_jobs(), a.num_jobs());
-  EXPECT_EQ(workload::Thin(a, 0.0, 1).num_jobs(), 0u);
-}
-
-TEST(Mix, ConcatPlaysPhasesInOrder) {
-  Instance a = ArtifactWorkload(31);
-  Instance b = ArtifactWorkload(37);
-  Instance combined = workload::Concat(a, b, 10);
-  EXPECT_EQ(combined.num_jobs(), a.num_jobs() + b.num_jobs());
-  // The second phase starts after the first one's request rounds plus gap.
-  Round boundary = a.num_request_rounds() + 10;
-  uint64_t before = 0;
-  for (const Job& j : combined.jobs()) {
-    if (j.arrival < boundary) ++before;
-  }
-  EXPECT_EQ(before, a.num_jobs());
-}
-
-TEST(Mix, MergedTenantsRunThroughPipeline) {
-  workload::RouterOptions router;
-  router.rounds = 128;
-  router.seed = 41;
-  Instance tenant1 =
-      MakeRouterScenario(workload::DefaultRouterServices(), router);
-  workload::DatacenterOptions dc;
-  dc.rounds = 128;
-  dc.seed = 43;
-  Instance tenant2 = workload::MakeDatacenterScenario(dc);
-  Instance merged = workload::MergeInstances({&tenant1, &tenant2});
-
-  EngineOptions options;
-  options.num_resources = 16;
-  options.cost_model.delta = 4;
-  auto result = reduce::SolveOnline(merged, options);
-  ASSERT_TRUE(result.validation.ok) << result.validation.error;
 }
 
 }  // namespace

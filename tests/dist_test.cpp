@@ -71,8 +71,9 @@ void ExpectSameRunResult(const RunResult& got, const RunResult& want,
   EXPECT_EQ(got.arrived, want.arrived) << label;
   EXPECT_EQ(got.rounds_simulated, want.rounds_simulated) << label;
   EXPECT_EQ(got.drops_per_color, want.drops_per_color) << label;
-  EXPECT_EQ(got.telemetry.drops, want.telemetry.drops) << label;
-  EXPECT_EQ(got.telemetry.executed, want.telemetry.executed) << label;
+  EXPECT_EQ(got.telemetry.reconfigs_per_color,
+            want.telemetry.reconfigs_per_color)
+      << label;
   EXPECT_EQ(got.telemetry.counters, want.telemetry.counters) << label;
 }
 
@@ -362,7 +363,7 @@ TEST(DistProtocol, TickReportRoundTripsAllSections) {
   done.result.arrived = 58;
   done.result.rounds_simulated = 97;
   done.result.drops_per_color = {1, 2, 0};
-  done.result.telemetry.drops = 3;
+  done.result.telemetry.reconfigs_per_color = {4, 0, 6};
   done.result.telemetry.counters["policy.recolor_scans"] = 42.0;
   report.completed.push_back(done);
   report.slo = {{1, 64, 2}, {2, 64, 0}};

@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/runner.h"
 #include "analysis/sweep.h"
 #include "analysis/timeline.h"
 #include "core/engine.h"
@@ -635,28 +634,30 @@ TEST(EngineTelemetry, MatchesCostAcrossAllEngines) {
   obs::Scope scope;
   options.obs_scope = &scope;
 
+  uint64_t arrived = 0;
   for (int which = 0; which < 2; ++which) {
     DlruEdfPolicy policy;
     RunResult r = which == 0 ? RunPolicy(instance, policy, options)
                              : RunPolicyReference(instance, policy, options);
     const obs::Telemetry& t = r.telemetry;
-    EXPECT_EQ(t.arrived, r.arrived);
-    EXPECT_EQ(t.executed, r.executed);
-    EXPECT_EQ(t.drops, r.cost.drops);
-    EXPECT_EQ(t.reconfigs, r.cost.reconfigurations);
-    EXPECT_EQ(t.rounds, static_cast<uint64_t>(r.rounds_simulated));
     uint64_t drops_sum = 0;
-    for (uint64_t d : t.drops_per_color) drops_sum += d;
-    EXPECT_EQ(drops_sum, t.drops);
+    for (uint64_t d : r.drops_per_color) drops_sum += d;
+    EXPECT_EQ(drops_sum, r.cost.drops);
     uint64_t reconf_sum = 0;
     for (uint64_t c : t.reconfigs_per_color) reconf_sum += c;
-    EXPECT_LE(reconf_sum, t.reconfigs);  // recolorings to black excluded
+    // Recolorings to black are excluded from the per-color counts.
+    EXPECT_LE(reconf_sum, r.cost.reconfigurations);
     EXPECT_GT(t.counters.size(), 0u);  // ExportMetrics snapshot present
+    EXPECT_TRUE(t.counters.count("num_epochs"));
+    arrived += r.arrived;
   }
-  // Both runs were absorbed into the shared scope.
+  // Both runs were absorbed into the shared scope, figures read from the
+  // RunResult.
   EXPECT_EQ(scope.runs_absorbed(), 2u);
   ASSERT_NE(scope.registry().FindCounter("engine.runs"), nullptr);
   EXPECT_EQ(scope.registry().FindCounter("engine.runs")->value, 2u);
+  ASSERT_NE(scope.registry().FindCounter("engine.arrived"), nullptr);
+  EXPECT_EQ(scope.registry().FindCounter("engine.arrived")->value, arrived);
 }
 
 TEST(EngineTelemetry, PhaseHistogramsPopulateAndSummarize) {
@@ -685,9 +686,6 @@ TEST(EngineTelemetry, PhaseHistogramsPopulateAndSummarize) {
       scope.registry().FindHistogram("engine.phase.drop.ns");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count(), r.telemetry.phase[obs::kPhaseDrop].samples);
-  const std::string summary = r.telemetry.SummaryLine();
-  EXPECT_NE(summary.find("drops="), std::string::npos);
-  EXPECT_NE(summary.find("p50"), std::string::npos);
 }
 
 TEST(EngineTelemetry, GlobalScopeIsUsedWhenNoExplicitScope) {
@@ -703,18 +701,6 @@ TEST(EngineTelemetry, GlobalScopeIsUsedWhenNoExplicitScope) {
   // Runs after the global scope is cleared do not touch it.
   RunPolicy(instance, policy, options);
   EXPECT_EQ(scope.runs_absorbed(), 1u);
-}
-
-TEST(RunnerTelemetry, PolicyReportCarriesSnapshot) {
-  Instance instance = ObsWorkload(3, /*rounds=*/64);
-  DlruEdfPolicy policy;
-  EngineOptions options;
-  options.num_resources = 4;
-  analysis::PolicyReport report =
-      analysis::RunAndReport(instance, policy, options);
-  EXPECT_EQ(report.telemetry.drops, report.cost.drops);
-  EXPECT_EQ(report.telemetry.executed, report.executed);
-  EXPECT_TRUE(report.telemetry.counters.count("num_epochs"));
 }
 
 // ---- Concurrency: shared scope + per-thread tracks (sanitizer target) -----

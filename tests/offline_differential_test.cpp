@@ -238,8 +238,6 @@ TEST(OfflineDifferential, MeasureRatioSurfacesBrackets) {
   EXPECT_LE(squeezed.opt_lower, exact.opt_upper);
   EXPECT_GE(squeezed.opt_upper, exact.opt_upper);
   EXPECT_LE(squeezed.ratio_lower, squeezed.ratio_upper);
-  // And MeasureExactRatio keeps its historical nullopt contract.
-  EXPECT_FALSE(analysis::MeasureExactRatio(inst, 20, 2, model, 1).has_value());
 }
 
 TEST(OfflineDifferential, HeuristicLegMatchesHallBound) {

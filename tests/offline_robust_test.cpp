@@ -13,7 +13,7 @@
 //
 // Also built under ASan+UBSan (rrs_offline_robust_sanitize_test, -L
 // sanitize) and TSan (offline_robust_tsan, -L tsan); higher fuzz tiers run
-// via RRS_FUZZ_ITERS (-L nightly).
+// via RRS_FUZZ_ITERS (-C nightly -L nightly).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ratio.h"
 #include "obs/scope.h"
 #include "offline/interval_state.h"
 #include "offline/lower_bound.h"
@@ -575,29 +574,6 @@ TEST(OfflineRobust, EnvelopeHallLegMatchesPairwiseOnEachSide) {
   }
   EXPECT_EQ(offline::CapacityRelaxedDropsEnvelope({}, 1, false), 0u);
   EXPECT_EQ(offline::CapacityRelaxedDropsEnvelope({}, 1, true), 0u);
-}
-
-TEST(OfflineRobust, MeasureRobustRatioSurfacesBrackets) {
-  workload::UncertainInstance set;
-  const ColorId c0 = set.AddColor(4);
-  const ColorId c1 = set.AddColor(4);
-  set.AddJobs(c0, 0, 1, 4);
-  set.AddJobs(c1, 0, 0, 4);
-  const CostModel model{2};
-
-  const auto report = analysis::MeasureRobustRatio(set, /*online_cost=*/20,
-                                                   /*m=*/2, model);
-  ASSERT_TRUE(report.exact);
-  EXPECT_LE(report.opt_lower, report.opt_upper);
-  EXPECT_LE(report.ratio_lower, report.ratio_upper);
-  EXPECT_GT(report.states_expanded, 0u);
-
-  const auto squeezed = analysis::MeasureRobustRatio(set, 20, 2, model,
-                                                     /*max_states=*/1);
-  ASSERT_FALSE(squeezed.exact);
-  EXPECT_LE(squeezed.opt_lower, report.opt_lower);
-  EXPECT_GE(squeezed.opt_upper, report.opt_upper);
-  EXPECT_LE(squeezed.ratio_lower, squeezed.ratio_upper);
 }
 
 TEST(OfflineRobust, SolverEmitsObsCounters) {

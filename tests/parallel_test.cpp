@@ -183,17 +183,6 @@ TEST(ParallelFor, NegativeRangeAndOffsets) {
   EXPECT_EQ(sum.load(), -100);  // sum of [-100, 100) = -100
 }
 
-TEST(ParallelMap, ComputesAllValues) {
-  ThreadPool pool(4);
-  auto out = ParallelMap<int64_t>(pool, 256, [](size_t i) {
-    return static_cast<int64_t>(i) * 2;
-  });
-  ASSERT_EQ(out.size(), 256u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int64_t>(i) * 2);
-  }
-}
-
 TEST(SpscQueue, FifoSingleThread) {
   SpscQueue<int> q(8);
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.TryPush(i));

@@ -29,7 +29,7 @@
 #include "util/rng.h"
 #include "workload/arrival_source.h"
 #include "workload/memctrl.h"
-#include "workload/mix.h"
+#include "workload/scenarios.h"
 #include "workload/source.h"
 #include "workload/synthetic.h"
 
@@ -219,13 +219,13 @@ TEST(SnapshotFuzzOnline, RandomCutRestoresEmitIdenticalOutcomes) {
   }
 }
 
-// ---- ArrivalSource: random wrapper chains, random chained cuts -----------
+// ---- ArrivalSource: every family, random chained cuts ---------------------
 //
-// Draws a random source tree (generator bases under random mix wrappers),
-// cuts it at random rounds with SaveState/LoadState onto a fresh tree, and
-// checks the restored tree emits the identical remaining stream. The
-// wrappers chain their inner sources' sections, so this fuzzes the
-// recursive state format the dist migration path ships.
+// Draws a source of a random checkpointable family (a replayed Instance or
+// any generator family), cuts it at random rounds with SaveState/LoadState
+// onto a fresh source, and checks the restored source emits the identical
+// remaining stream. Those state words are what the dist migration path
+// ships.
 
 std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
     Rng& rng) {
@@ -239,22 +239,30 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
   }
   const Round rounds = 16 + static_cast<Round>(rng.NextBounded(100));
   const uint64_t seed = rng.Next();
-  // Generator family: 0 Poisson, 1 bursty, 2 Zipf, 3 memctrl. Batched and
-  // rate-limited bases carry per-color batch windows across every cut.
-  const uint64_t family = rng.NextBounded(4);
+  // ArrivalSource::Family id: 0 a replayed Instance, 1 Poisson, 2 bursty,
+  // 3 Zipf, 4 router, 5 datacenter, 6 memctrl. Batched and rate-limited
+  // generators carry per-color batch windows across every cut.
+  const uint64_t family = rng.NextBounded(7);
   const uint64_t batching = rng.NextBounded(3);
   const bool batched = batching == 1;
   const bool rate_limited = batching == 2;
-  auto base = [specs, rounds, seed, family, batched,
-               rate_limited]() -> std::unique_ptr<workload::ArrivalSource> {
+  return [specs, rounds, seed, family, batched,
+          rate_limited]() -> std::unique_ptr<workload::ArrivalSource> {
     std::vector<Round> delays;
     double total_rate = 0;
     for (const workload::ColorSpec& spec : specs) {
       delays.push_back(spec.delay_bound);
       total_rate += spec.rate;
     }
+    const double per_color = total_rate / static_cast<double>(specs.size());
     switch (family) {
       case 0: {
+        workload::PoissonOptions options;
+        options.rounds = rounds;
+        options.seed = seed;
+        return workload::MakeOwnedInstanceSource(MakePoisson(specs, options));
+      }
+      case 1: {
         workload::PoissonOptions options;
         options.rounds = rounds;
         options.batched = batched;
@@ -262,7 +270,7 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
         options.seed = seed;
         return workload::MakePoissonSource(specs, options);
       }
-      case 1: {
+      case 2: {
         workload::BurstyOptions options;
         options.rounds = rounds;
         options.p_on_to_off = 0.15;
@@ -272,7 +280,7 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
         options.seed = seed;
         return workload::MakeBurstySource(specs, options);
       }
-      case 2: {
+      case 3: {
         workload::ZipfOptions options;
         options.num_colors = specs.size();
         options.delay_choices = delays;
@@ -283,14 +291,42 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
         options.seed = seed;
         return workload::MakeZipfSource(options);
       }
+      case 4: {
+        std::vector<workload::RouterService> services;
+        for (size_t c = 0; c < specs.size(); ++c) {
+          services.push_back({"s" + std::to_string(c), specs[c].delay_bound,
+                              specs[c].rate / 2, specs[c].rate * 2});
+        }
+        workload::RouterOptions options;
+        options.rounds = rounds;
+        options.period = 8 + rounds / 4;
+        options.batched = batched;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeRouterSource(std::move(services), options);
+      }
+      case 5: {
+        workload::DatacenterOptions options;
+        options.num_services = specs.size();
+        options.delay_choices = delays;
+        options.rounds = rounds;
+        options.phase_length = 8 + rounds / 4;
+        options.dominant_per_phase = 1;
+        options.background_rate = per_color / 4;
+        options.dominant_rate = 2 * per_color;
+        options.batched = batched;
+        options.rate_limited = rate_limited;
+        options.seed = seed;
+        return workload::MakeDatacenterSource(options);
+      }
       default: {
         workload::MemctrlOptions options;
         options.num_ranks = specs.size() > 3 ? 2 : 1;
         options.banks_per_rank = 2;
         options.delay_choices = delays;
         options.rounds = rounds;
-        options.burst_rate = 2 * total_rate / static_cast<double>(specs.size());
-        options.idle_rate = total_rate / static_cast<double>(4 * specs.size());
+        options.burst_rate = 2 * per_color;
+        options.idle_rate = per_color / 4;
         options.refresh_period = 16;
         options.refresh_length = 3;
         options.batched = batched;
@@ -300,29 +336,6 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
       }
     }
   };
-  switch (rng.NextBounded(4)) {
-    case 0:
-      return base;
-    case 1: {
-      const Round offset = static_cast<Round>(rng.NextBounded(9));
-      return [base, offset] {
-        return workload::MakeTimeShiftSource(base(), offset);
-      };
-    }
-    case 2: {
-      const double keep = rng.UniformDouble(0.3, 0.9);
-      const uint64_t thin_seed = rng.Next();
-      return [base, keep, thin_seed] {
-        return workload::MakeThinSource(base(), keep, thin_seed);
-      };
-    }
-    default: {
-      const Round gap = static_cast<Round>(rng.NextBounded(6));
-      return [base, gap] {
-        return workload::MakeConcatSource(base(), base(), gap);
-      };
-    }
-  }
 }
 
 TEST(SnapshotFuzzSource, ChainedRandomCutsEmitIdenticalStreams) {
@@ -331,18 +344,6 @@ TEST(SnapshotFuzzSource, ChainedRandomCutsEmitIdenticalStreams) {
   for (int iter = 0; iter < iters; ++iter) {
     const std::string label = "iter " + std::to_string(iter);
     auto make = FuzzSourceFactory(rng);
-    // Merge two independently drawn trees a quarter of the time, so the
-    // fuzzer also covers the N-ary wrapper's chained sections.
-    if (rng.Bernoulli(0.25)) {
-      auto other = FuzzSourceFactory(rng);
-      auto merged = [make, other] {
-        std::vector<std::unique_ptr<workload::ArrivalSource>> parts;
-        parts.push_back(make());
-        parts.push_back(other());
-        return workload::MakeMergeSource(std::move(parts));
-      };
-      make = merged;
-    }
     auto original = make();
     auto restored = make();
     const int cuts = 1 + static_cast<int>(rng.NextBounded(3));

@@ -4,12 +4,9 @@
 //    bit-identical to running the materialized Instance — for every registry
 //    policy (lookahead runs through InstanceSource, which preserves the
 //    clairvoyant view);
-//  - mix wrapper sources (merge / time-shift / thin / concat) materialize to
-//    the exact Instances the legacy transforms build, and feed engines
-//    bit-identically;
 //  - snapshot bytes of a source-fed run equal the instance-fed run's, and
-//    mid-run save/load cuts (including chained wrapper trees and the
-//    engine-words + source-words migration format) resume bit-identically;
+//    mid-run save/load cuts (including the engine-words + source-words
+//    migration format) resume bit-identically;
 //  - the streaming TraceStats fold equals the materialized fold, double for
 //    double.
 #include <gtest/gtest.h>
@@ -26,7 +23,6 @@
 #include "workload/arrival_source.h"
 #include "workload/generator_spec.h"
 #include "workload/memctrl.h"
-#include "workload/mix.h"
 #include "workload/scenarios.h"
 #include "workload/source.h"
 #include "workload/synthetic.h"
@@ -145,70 +141,6 @@ TEST(SourceDifferential, EveryGeneratorEveryPolicyMatchesMaterialized) {
   }
 }
 
-// ---- Mix wrappers ---------------------------------------------------------
-
-std::unique_ptr<ArrivalSource> BaseA() {
-  return workload::MakePoissonSource({{2, 1.2}, {4, 0.7}},
-                                     {.rounds = 40, .seed = 21});
-}
-std::unique_ptr<ArrivalSource> BaseB() {
-  workload::BurstyOptions options;
-  options.rounds = 32;
-  options.p_off_to_on = 0.4;
-  options.seed = 22;
-  return workload::MakeBurstySource({{2, 1.5}, {4, 1.0}}, options);
-}
-
-TEST(MixSourceDifferential, WrappersMatchLegacyTransformsEveryPolicy) {
-  const Instance a = workload::Materialize(*BaseA());
-  const Instance b = workload::Materialize(*BaseB());
-
-  struct Case {
-    std::string name;
-    Instance expected;
-    std::function<std::unique_ptr<ArrivalSource>()> make;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"time_shift", workload::TimeShift(a, 7),
-                   [&] { return workload::MakeTimeShiftSource(BaseA(), 7); }});
-  cases.push_back({"thin", workload::Thin(a, 0.6, 99), [&] {
-    return workload::MakeThinSource(BaseA(), 0.6, 99);
-  }});
-  cases.push_back({"concat", workload::Concat(a, b, 5), [&] {
-    return workload::MakeConcatSource(BaseA(), BaseB(), 5);
-  }});
-  cases.push_back({"merge", workload::MergeInstances({&a, &b}), [&] {
-    std::vector<std::unique_ptr<ArrivalSource>> parts;
-    parts.push_back(BaseA());
-    parts.push_back(BaseB());
-    return workload::MakeMergeSource(std::move(parts));
-  }});
-
-  EngineOptions options;
-  options.num_resources = 4;
-  for (const Case& c : cases) {
-    // The wrapper's replay materializes to the legacy transform's output.
-    auto source = c.make();
-    const Instance via_source = workload::Materialize(*source);
-    ASSERT_EQ(via_source.num_jobs(), c.expected.num_jobs()) << c.name;
-    auto jobs_a = via_source.jobs();
-    auto jobs_b = c.expected.jobs();
-    for (size_t j = 0; j < jobs_a.size(); ++j) {
-      EXPECT_EQ(jobs_a[j].color, jobs_b[j].color) << c.name << " job " << j;
-      EXPECT_EQ(jobs_a[j].arrival, jobs_b[j].arrival)
-          << c.name << " job " << j;
-    }
-    // And source-fed engines agree with the materialized run, per policy.
-    for (const std::string& name : PolicyNames()) {
-      if (name == "lookahead") continue;  // wrapper shapes are jobless
-      auto policy = MakePolicy(name);
-      const RunResult instance_fed = RunPolicy(c.expected, *policy, options);
-      const RunResult source_fed = RunSource(*source, name, options);
-      ExpectSameResult(instance_fed, source_fed, c.name + "/" + name);
-    }
-  }
-}
-
 // ---- Snapshot equivalence and save/load cuts ------------------------------
 
 TEST(SourceSnapshot, SourceFedSnapshotBytesEqualInstanceFed) {
@@ -249,21 +181,7 @@ std::vector<ArrivalSource::Run> DrainRuns(ArrivalSource& source) {
 }
 
 TEST(SourceSnapshot, SaveLoadCutsResumeIdentically) {
-  std::vector<NamedSource> cases = GeneratorFamilies();
-  cases.push_back({"thin(shift(poisson))", [] {
-    return workload::MakeThinSource(
-        workload::MakeTimeShiftSource(BaseA(), 3), 0.7, 42);
-  }});
-  cases.push_back({"concat", [] {
-    return workload::MakeConcatSource(BaseA(), BaseB(), 4);
-  }});
-  cases.push_back({"merge(poisson,bursty)", [] {
-    std::vector<std::unique_ptr<ArrivalSource>> parts;
-    parts.push_back(BaseA());
-    parts.push_back(BaseB());
-    return workload::MakeMergeSource(std::move(parts));
-  }});
-  for (const NamedSource& c : cases) {
+  for (const NamedSource& c : GeneratorFamilies()) {
     auto original = c.make();
     const Round cut =
         std::min<Round>(13, original->num_request_rounds() / 2);

@@ -113,32 +113,6 @@ TEST(Synthetic, ZipfDelayChoicesCycle) {
   EXPECT_EQ(inst.delay_bound(2), 2);
 }
 
-TEST(Synthetic, BatchArrivalsProducesBatchedInstance) {
-  InstanceBuilder b;
-  ColorId c = b.AddColor(4);
-  b.AddJob(c, 1);
-  b.AddJob(c, 5);
-  b.AddJob(c, 8);
-  Instance raw = b.Build();
-  EXPECT_FALSE(raw.IsBatched());
-  Instance batched = workload::BatchArrivals(raw, false);
-  EXPECT_TRUE(batched.IsBatched());
-  EXPECT_EQ(batched.num_jobs(), 3u);
-  EXPECT_EQ(batched.job(0).arrival, 4);  // 1 -> 4
-  EXPECT_EQ(batched.job(1).arrival, 8);  // 5 -> 8
-  EXPECT_EQ(batched.job(2).arrival, 8);  // 8 stays
-}
-
-TEST(Synthetic, BatchArrivalsRateLimitClampsOverfullBatches) {
-  InstanceBuilder b;
-  ColorId c = b.AddColor(2);
-  b.AddJobs(c, 0, 7);
-  Instance raw = b.Build();
-  Instance clamped = workload::BatchArrivals(raw, true);
-  EXPECT_TRUE(clamped.IsRateLimited());
-  EXPECT_EQ(clamped.num_jobs(), 2u);  // clamped to D = 2
-}
-
 // ------------------------------------------------------------ Adversary ----
 
 TEST(DlruAdversary, StructureMatchesAppendixA) {
@@ -318,6 +292,35 @@ std::vector<uint64_t> PatchedSourceWords(
   patch(payload);
   words[4] = snapshot::FnvWords(payload);
   return words;
+}
+
+TEST(SourceStateDeath, RejectsStateOfAnotherFamily) {
+  // Every section opens with its source's family id, and a load into a
+  // source of another family aborts. That check is what keeps the retired
+  // wrapper ids 7-10 reserved: no live family may ever answer to them.
+  const std::vector<workload::ColorSpec> colors = {{1, 0.5}, {2, 0.7}};
+  workload::PoissonOptions poisson;
+  poisson.rounds = 32;
+  poisson.seed = 5;
+  auto source = workload::MakePoissonSource(colors, poisson);
+  for (int k = 0; k < 4; ++k) source->NextRound();
+  snapshot::Writer w;
+  source->SaveState(w);
+  workload::BurstyOptions bursty;
+  bursty.rounds = 32;
+  bursty.seed = 5;
+  auto other = workload::MakeBurstySource(colors, bursty);
+  snapshot::Reader poisson_words(w.words());
+  EXPECT_DEATH(other->LoadState(poisson_words), "different generator family");
+
+  // The same Poisson section re-sealed under the retired time-shift id.
+  const std::vector<uint64_t> words =
+      PatchedSourceWords(*source, [](std::span<uint64_t> payload) {
+        payload[0] = 7;
+      });
+  auto restored = source->Clone();
+  snapshot::Reader r(words);
+  EXPECT_DEATH(restored->LoadState(r), "different generator family");
 }
 
 TEST(SourceStateDeath, RejectsAllZeroRngState) {
