@@ -29,14 +29,6 @@ void LruTracker::Touch(key_type key, int64_t timestamp) {
   timestamp_[slot_[key]] = timestamp;
 }
 
-void LruTracker::InsertOrTouch(key_type key, int64_t timestamp) {
-  if (Contains(key)) {
-    Touch(key, timestamp);
-  } else {
-    Insert(key, timestamp);
-  }
-}
-
 void LruTracker::Remove(key_type key) {
   RRS_CHECK(Contains(key)) << "key " << key << " not tracked";
   const uint32_t at = slot_[key];

@@ -50,9 +50,6 @@ class LruTracker {
   // Updates the timestamp of a present key.
   void Touch(key_type key, int64_t timestamp);
 
-  // Inserts if absent, otherwise updates.
-  void InsertOrTouch(key_type key, int64_t timestamp);
-
   // Removes a present key.
   void Remove(key_type key);
 

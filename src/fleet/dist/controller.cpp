@@ -88,7 +88,7 @@ bool DistController::Start(std::string* error) {
     }
     if (type != kMsgHello) return fail("handshake: expected Hello");
     snapshot::Reader reader(recv_scratch_);
-    const HelloInfo hello = GetHello(reader);
+    const HelloInfo hello = Get<HelloInfo>(reader);
     if (hello.protocol_version != kProtocolVersion) {
       return fail("worker " + std::to_string(worker.index) +
                   " speaks protocol " +
@@ -96,13 +96,12 @@ bool DistController::Start(std::string* error) {
                   ", controller speaks " + std::to_string(kProtocolVersion));
     }
   }
+  send_scratch_.Clear();
+  Put(send_scratch_, options_.worker);
   for (WorkerHandle& worker : workers_) {
-    send_scratch_.Clear();
-    PutConfig(send_scratch_, options_.worker);
     SendTo(worker, kMsgConfig);
-    Expect(worker, kMsgConfigAck);
-    snapshot::Reader reader(recv_scratch_);
-    worker.metrics_port = GetHello(reader).metrics_port;
+    worker.metrics_port =
+        Receive<HelloInfo>(worker, kMsgConfigAck).metrics_port;
   }
   if (options_.serve_metrics && obs::kEnabled) {
     obs::Scope* scope = options_.scope;
@@ -168,16 +167,26 @@ void DistController::Expect(WorkerHandle& worker, uint64_t want) {
       << ", got " << MsgTypeName(type);
 }
 
+template <class T>
+T DistController::Receive(WorkerHandle& worker, uint64_t want) {
+  Expect(worker, want);
+  snapshot::Reader reader(recv_scratch_);
+  T body = Get<T>(reader);
+  RRS_CHECK(reader.AtEnd()) << "worker " << worker.index
+                            << ": trailing words after " << MsgTypeName(want);
+  return body;
+}
+
 void DistController::AddJobs(std::span<const FleetJob> jobs) {
   RRS_CHECK(running_) << "AddJobs before Start";
   RRS_CHECK_EQ(tick_, 0u) << "AddJobs after Run";
   // Dedup instances and generator specs by pointer and ship the new ones to
   // *every* worker: a migration target must already hold the instance (or
   // spec) when the checkpoint words arrive.
-  std::vector<const Instance*> new_instances;
-  std::vector<const workload::GeneratorSpec*> new_sources;
-  const uint32_t first_id = next_instance_id_;
-  const uint32_t first_source_id = next_source_id_;
+  InstanceTable new_instances;
+  new_instances.first_id = next_instance_id_;
+  SourceTable new_sources;
+  new_sources.first_id = next_source_id_;
   const size_t first_tenant = tenants_.size();
   tenants_.reserve(tenants_.size() + jobs.size());
   for (const FleetJob& job : jobs) {
@@ -200,7 +209,7 @@ void DistController::AddJobs(std::span<const FleetJob> jobs) {
       } else {
         id = next_instance_id_++;
         instance_ids_.emplace_back(job.instance, id);
-        new_instances.push_back(job.instance);
+        new_instances.instances.push_back(WireInstance::From(*job.instance));
       }
       tenant.spec.instance_id = id;
       tenant.instance = job.instance;
@@ -219,7 +228,7 @@ void DistController::AddJobs(std::span<const FleetJob> jobs) {
         id = next_source_id_++;
         source_ids_.emplace_back(job.source_spec, id);
         source_shapes_.push_back(workload::MakeSource(*job.source_spec));
-        new_sources.push_back(job.source_spec);
+        new_sources.specs.push_back(*job.source_spec);
       }
       tenant.spec.source_id = id;
       tenant.instance = &source_shapes_[id]->shape();
@@ -227,20 +236,20 @@ void DistController::AddJobs(std::span<const FleetJob> jobs) {
     tenants_.push_back(std::move(tenant));
     ++remaining_;
   }
-  if (!new_instances.empty()) {
+  if (!new_instances.instances.empty()) {
+    send_scratch_.Clear();
+    Put(send_scratch_, new_instances);
     for (WorkerHandle& worker : workers_) {
       if (!worker.alive) continue;
-      send_scratch_.Clear();
-      PutInstanceTable(send_scratch_, new_instances, first_id);
       SendTo(worker, kMsgAddInstances);
       Expect(worker, kMsgConfigAck);
     }
   }
-  if (!new_sources.empty()) {
+  if (!new_sources.specs.empty()) {
+    send_scratch_.Clear();
+    Put(send_scratch_, new_sources);
     for (WorkerHandle& worker : workers_) {
       if (!worker.alive) continue;
-      send_scratch_.Clear();
-      PutSourceTable(send_scratch_, new_sources, first_source_id);
       SendTo(worker, kMsgAddSources);
       Expect(worker, kMsgConfigAck);
     }
@@ -257,7 +266,7 @@ void DistController::AddJobs(std::span<const FleetJob> jobs) {
   for (size_t w = 0; w < workers_.size(); ++w) {
     if (batches[w].empty()) continue;
     send_scratch_.Clear();
-    PutTenantSpecs(send_scratch_, batches[w]);
+    Put(send_scratch_, batches[w]);
     SendTo(workers_[w], kMsgAddTenants);
     Expect(workers_[w], kMsgConfigAck);
   }
@@ -303,10 +312,7 @@ void DistController::ObserveSlo(Tenant& tenant, uint64_t rounds,
 
 void DistController::ProcessTickReport(WorkerHandle& worker,
                                        std::vector<RunResult>& results) {
-  snapshot::Reader reader(recv_scratch_);
-  TickReport report;
-  GetTickReport(reader, &report);
-  RRS_CHECK(reader.AtEnd());
+  TickReport report = Receive<TickReport>(worker, kMsgTickDone);
   RRS_CHECK_EQ(report.tick, tick_);
   stats_.rounds_stepped += report.rounds_stepped;
   worker.live = report.live;
@@ -342,7 +348,9 @@ void DistController::ProcessTickReport(WorkerHandle& worker,
     --worker.outstanding;
     ++stats_.completed;
     if (slo_ != nullptr) {
-      slo_->Finish(0, done.tenant, *tenant.instance, results[done.tenant]);
+      const RunResult& result = results[done.tenant];
+      slo_->Finish(0, done.tenant, *tenant.instance, result,
+                   result.drops_per_color);
     }
     if (options_.trace_digests) {
       // Completion epilogue of the TraceDigest fold.
@@ -378,15 +386,13 @@ std::vector<RunResult> DistController::Run() {
     // Broadcast first, then collect: workers step in parallel across
     // processes while the controller waits at the barrier.
     send_scratch_.Clear();
-    PutTickCmd(send_scratch_, cmd);
+    Put(send_scratch_, cmd);
     for (WorkerHandle& worker : workers_) {
       if (worker.alive) SendTo(worker, kMsgTick);
     }
     uint64_t tick_rounds = stats_.rounds_stepped;
     for (WorkerHandle& worker : workers_) {
-      if (!worker.alive) continue;
-      Expect(worker, kMsgTickDone);
-      ProcessTickReport(worker, results);
+      if (worker.alive) ProcessTickReport(worker, results);
     }
     tick_rounds = stats_.rounds_stepped - tick_rounds;
     ++stats_.ticks;
@@ -434,28 +440,39 @@ std::vector<RunResult> DistController::Run() {
         {"dist.checkpoint_words", stats_.checkpoint_words},
     };
     scope->AbsorbCounters(counters);
-    if (slo_ != nullptr) slo_->AbsorbInto(*scope);
   }
   return results;
 }
 
-void DistController::PlaceTenant(Tenant& tenant, size_t target) {
-  if (tenant.has_checkpoint) {
-    send_scratch_.Clear();
-    PutTenantSpecs(send_scratch_, {tenant.spec});
-    PutCheckpoint(send_scratch_, tenant.checkpoint);
-    SendTo(workers_[target], kMsgRestoreTenant);
-    Expect(workers_[target], kMsgRestoreAck);
-    ++stats_.restored_from_checkpoint;
+void DistController::PlaceTenant(Tenant& tenant, size_t target,
+                                 const TenantCheckpoint* checkpoint) {
+  WorkerHandle& worker = workers_[target];
+  send_scratch_.Clear();
+  if (checkpoint != nullptr) {
+    Put(send_scratch_, RestoreTenant{tenant.spec, *checkpoint});
+    SendTo(worker, kMsgRestoreTenant);
+    Expect(worker, kMsgRestoreAck);
   } else {
-    send_scratch_.Clear();
-    PutTenantSpecs(send_scratch_, {tenant.spec});
-    SendTo(workers_[target], kMsgAddTenants);
-    Expect(workers_[target], kMsgConfigAck);
-    ++stats_.restarted_from_scratch;
+    Put(send_scratch_, std::vector<TenantSpec>{tenant.spec});
+    SendTo(worker, kMsgAddTenants);
+    Expect(worker, kMsgConfigAck);
   }
   tenant.worker = target;
-  ++workers_[target].outstanding;
+  ++worker.outstanding;
+}
+
+TenantEvicted DistController::Evict(Tenant& tenant, bool checkpoint) {
+  WorkerHandle& worker = workers_[tenant.worker];
+  RRS_CHECK(worker.alive);
+  send_scratch_.Clear();
+  Put(send_scratch_, EvictTenant{tenant.spec.tenant, checkpoint});
+  SendTo(worker, kMsgEvictTenant);
+  TenantEvicted evicted = Receive<TenantEvicted>(worker, kMsgTenantEvicted);
+  RRS_CHECK(evicted.state != kTenantMissing)
+      << "tenant " << tenant.spec.tenant << " not on worker " << worker.index;
+  RRS_CHECK_EQ(evicted.checkpoint.tenant, tenant.spec.tenant);
+  --worker.outstanding;
+  return evicted;
 }
 
 bool DistController::MigrateTenant(uint64_t tenant_id, size_t target) {
@@ -463,36 +480,13 @@ bool DistController::MigrateTenant(uint64_t tenant_id, size_t target) {
   Tenant& tenant = tenants_[tenant_id];
   if (tenant.phase != Phase::kAssigned) return false;  // finished first
   if (!workers_[target].alive) return false;
-  // target == tenant.worker is allowed: the full quiesce → snapshot →
-  // restore cycle runs against one worker, which is exactly what the
-  // 1-worker migration differentials exercise.
-  WorkerHandle& source = workers_[tenant.worker];
-  RRS_CHECK(source.alive);
-  send_scratch_.Clear();
-  PutTenantId(send_scratch_, tenant_id);
-  SendTo(source, kMsgSnapshotTenant);
-  Expect(source, kMsgTenantSnapshot);
-  snapshot::Reader reader(recv_scratch_);
-  SnapshotReply reply;
-  GetSnapshotReply(reader, &reply);
-  RRS_CHECK(reply.state != kTenantMissing)
-      << "tenant " << tenant_id << " not on worker " << source.index;
-  --source.outstanding;
-  if (reply.state == kTenantLive) {
-    send_scratch_.Clear();
-    PutTenantSpecs(send_scratch_, {tenant.spec});
-    PutCheckpoint(send_scratch_, reply.checkpoint);
-    SendTo(workers_[target], kMsgRestoreTenant);
-    Expect(workers_[target], kMsgRestoreAck);
-  } else {
-    // Not yet admitted on the source: nothing to snapshot, the spec moves.
-    send_scratch_.Clear();
-    PutTenantSpecs(send_scratch_, {tenant.spec});
-    SendTo(workers_[target], kMsgAddTenants);
-    Expect(workers_[target], kMsgConfigAck);
-  }
-  tenant.worker = target;
-  ++workers_[target].outstanding;
+  // target == tenant.worker is allowed: the full quiesce → evict → restore
+  // cycle runs against one worker, which is exactly what the 1-worker
+  // migration differentials exercise. A tenant not yet admitted on its
+  // worker has nothing to restore: its spec moves.
+  const TenantEvicted evicted = Evict(tenant, /*checkpoint=*/true);
+  PlaceTenant(tenant, target,
+              evicted.state == kTenantLive ? &evicted.checkpoint : nullptr);
   ++stats_.migrations;
   return true;
 }
@@ -517,27 +511,21 @@ void DistController::KillWorker(size_t index) {
   // makes either path bit-identical to an undisturbed run.
   for (Tenant& tenant : tenants_) {
     if (tenant.phase != Phase::kAssigned || tenant.worker != index) continue;
-    PlaceTenant(tenant, LeastOutstandingAlive(workers_.size()));
+    PlaceTenant(tenant, LeastOutstandingAlive(workers_.size()),
+                tenant.has_checkpoint ? &tenant.checkpoint : nullptr);
+    ++(tenant.has_checkpoint ? stats_.restored_from_checkpoint
+                             : stats_.restarted_from_scratch);
   }
 }
 
 bool DistController::ShedTenant(uint64_t tenant_id) {
   Tenant& tenant = tenants_[tenant_id];
   if (tenant.phase != Phase::kAssigned) return false;
-  WorkerHandle& worker = workers_[tenant.worker];
-  RRS_CHECK(worker.alive);
-  send_scratch_.Clear();
-  PutTenantId(send_scratch_, tenant_id);
-  SendTo(worker, kMsgShedTenant);
-  Expect(worker, kMsgShedAck);
-  snapshot::Reader reader(recv_scratch_);
-  const ShedInfo info = GetShedInfo(reader);
-  RRS_CHECK(info.state != kTenantMissing)
-      << "shed: tenant " << tenant_id << " not on worker " << worker.index;
+  const TenantEvicted evicted = Evict(tenant, /*checkpoint=*/false);
   if (slo_ != nullptr) {
     // Observe up to the cut, then retire the tenant: /tenants, the gauges
     // and the burn valve must stop counting a tenant that no longer runs.
-    ObserveSlo(tenant, info.rounds, info.misses);
+    ObserveSlo(tenant, evicted.checkpoint.round, evicted.misses);
     slo_->Retire(0, tenant_id);
     slo_->Publish(0);
   }
@@ -545,7 +533,6 @@ bool DistController::ShedTenant(uint64_t tenant_id) {
   tenant.has_checkpoint = false;
   tenant.checkpoint.words.clear();
   --remaining_;
-  --worker.outstanding;
   ++stats_.shed;
   return true;
 }

@@ -25,17 +25,22 @@
 // Placement changes only happen between ticks, when every worker is
 // quiesced at the barrier:
 //
-//   migration   SnapshotTenant on the source (quiesce → snapshot), ship,
-//               RestoreTenant on the target — the PR-5 codec words are the
-//               wire format, so the move is bit-identical to staying put;
+//   migration   EvictTenant on the source (quiesce → checkpoint), ship,
+//               RestoreTenant on the target — the snapshot codec words are
+//               the wire format, so the move is bit-identical to staying
+//               put;
 //   failover    KillWorker SIGKILLs a worker; its tenants restore from
 //               their latest streamed checkpoint on the least-loaded
 //               survivors (or restart from scratch if never checkpointed) —
 //               deterministic re-execution makes results bit-identical;
 //   shedding    scripted or burn-driven (shed_burn_threshold): tenants
-//               whose SLO window burn exceeds the threshold are aborted at
-//               the barrier and retired from the SLO tracker — the
-//               admission-control overload valve.
+//               whose SLO window burn exceeds the threshold are evicted
+//               without their checkpoint at the barrier and retired from
+//               the SLO tracker — the admission-control overload valve.
+//
+// Migration and failover place a tenant through one restore-or-requeue
+// step (PlaceTenant): restore from checkpoint words when there are any,
+// else re-ship the spec so the tenant starts from scratch.
 //
 // Determinism: worker count, thread counts, and tick pacing never change
 // per-tenant results; the scripted event APIs (ScheduleMigration /
@@ -80,7 +85,8 @@ struct DistOptions {
   // > 0: at each barrier, shed any tenant whose current-window burn
   // (misses / budget) exceeds this — overload admission control.
   double shed_burn_threshold = 0.0;
-  // Absorbs dist.* counters and the SLO aggregate after Run (may be null).
+  // Absorbs dist.* counters after Run (may be null). The SLO series are the
+  // tracker's own (fleet/slo.h), served by the export server below.
   obs::Scope* scope = nullptr;
   // Controller ExportServer: /metrics (scope + SLO section), /tenants,
   // /workers. Started after the forks (children stay thread-free).
@@ -130,7 +136,7 @@ class DistController {
 
   // Ticks the fleet until every tenant is done or shed; returns one
   // RunResult per job in job order (shed tenants keep a default result —
-  // see tenant_shed). Absorbs dist.* and SLO metrics into the scope.
+  // see tenant_shed). Absorbs dist.* metrics into the scope.
   std::vector<RunResult> Run();
 
   // Orderly shutdown: kMsgShutdown to every live worker, collect Bye,
@@ -192,6 +198,9 @@ class DistController {
 
   void SendTo(WorkerHandle& worker, uint64_t type);
   void Expect(WorkerHandle& worker, uint64_t want);
+  // Expect, then decode the reply's body.
+  template <class T>
+  T Receive(WorkerHandle& worker, uint64_t want);
   size_t LeastOutstandingAlive(size_t exclude) const;
   // Feeds the SLO tracker one cumulative progress row, behind slo_hw.
   void ObserveSlo(Tenant& tenant, uint64_t rounds, uint64_t misses);
@@ -199,7 +208,12 @@ class DistController {
   bool MigrateTenant(uint64_t tenant, size_t target);
   void KillWorker(size_t worker);
   bool ShedTenant(uint64_t tenant);
-  void PlaceTenant(Tenant& tenant, size_t target);
+  // Takes a tenant off its worker, with its checkpoint words when asked.
+  TenantEvicted Evict(Tenant& tenant, bool checkpoint);
+  // Restores the tenant on `target` from `checkpoint`, or, when there is
+  // none, requeues its spec there to start from scratch.
+  void PlaceTenant(Tenant& tenant, size_t target,
+                   const TenantCheckpoint* checkpoint);
   void PublishWorkers();
 
   DistOptions options_;

@@ -4,12 +4,16 @@
 //
 // Transport: net/socket.h length-prefixed uint64-word frames. Every frame
 // payload is a snapshot::Writer word stream — magic + codec version header
-// followed by checksummed sections — so each message gets the snapshot
-// layer's corruption detection and version-skew refusal (a worker built
-// against a newer codec cannot silently feed this controller). Tenant
-// checkpoints travel *verbatim* as the PR-5 snapshot codec words produced by
-// Engine::SnapshotRun: migration's wire format IS the checkpoint format, and
-// a restore on the target worker is bit-identical to never having moved.
+// followed by one kTagDistMsg section holding the message body — so each
+// message gets the snapshot layer's corruption detection and version-skew
+// refusal (a worker built against a newer codec cannot silently feed this
+// controller). Every body's layout is declared once, as a Fields list next
+// to its struct (snapshot/fields.h); Put writes a body and Get<T> reads it
+// back through the bounded reader, so no announced count can make a
+// decoder allocate past the frame's own size. Tenant checkpoints travel
+// *verbatim* as the snapshot codec words produced by Engine::SnapshotRun:
+// migration's wire format IS the checkpoint format, and a restore on the
+// target worker is bit-identical to never having moved.
 //
 // Control flow is strictly request/response per worker, with one exception:
 // kMsgTick is broadcast to every worker before any kMsgTickDone is read, so
@@ -17,7 +21,7 @@
 // controller waits at the barrier. Everything that mutates placement
 // (migration, shedding, failover restores) happens between ticks, when every
 // worker is quiesced at the barrier — the "quiesce-at-tick-barrier →
-// snapshot → ship → restore" migration state machine of DESIGN.md §3.12.
+// evict → ship → restore" migration state machine of DESIGN.md §3.12.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +31,7 @@
 #include "core/engine.h"
 #include "core/instance.h"
 #include "snapshot/codec.h"
+#include "snapshot/fields.h"
 #include "workload/generator_spec.h"
 
 namespace rrs {
@@ -48,30 +53,36 @@ namespace dist {
 // v5: a TenantResult sends each run figure once: the telemetry block drops
 // its copies of arrived, executed, drops, reconfigs, rounds and per-color
 // drops, which the RunResult fields already carry.
-inline constexpr uint64_t kProtocolVersion = 5;
+// v6: one kTagDistMsg section per frame, laid out by the body's Fields
+// list; GeneratorSpec names pack eight bytes per word; migration's snapshot
+// exchange and shedding's shed exchange are one EvictTenant/TenantEvicted
+// pair.
+inline constexpr uint64_t kProtocolVersion = 6;
 
+// Types 12 and 13 (the v5 ShedTenant/ShedAck pair) are retired: never reuse
+// them.
 enum MsgType : uint64_t {
-  kMsgHello = 1,           // worker -> ctl: index, pid, protocol, metrics port
-  kMsgConfig = 2,          // ctl -> worker: WireConfig
-  kMsgConfigAck = 3,       // worker -> ctl: Hello body to Config, else empty
-  kMsgAddInstances = 4,    // ctl -> worker: deduplicated instance table slice
-  kMsgAddTenants = 5,      // ctl -> worker: TenantSpec batch
-  kMsgTick = 6,            // ctl -> worker (broadcast): advance one tick
-  kMsgTickDone = 7,        // worker -> ctl: TickReport
-  kMsgSnapshotTenant = 8,  // ctl -> worker: quiesced tenant -> checkpoint
-  kMsgTenantSnapshot = 9,  // worker -> ctl: the checkpoint words
-  kMsgRestoreTenant = 10,  // ctl -> worker: checkpoint words -> live session
-  kMsgRestoreAck = 11,     // worker -> ctl: empty
-  kMsgShedTenant = 12,     // ctl -> worker: abort and discard a tenant
-  kMsgShedAck = 13,        // worker -> ctl: partial progress at the cut
-  kMsgShutdown = 14,       // ctl -> worker
-  kMsgBye = 15,            // worker -> ctl: empty
-  kMsgAddSources = 16,     // ctl -> worker: deduplicated GeneratorSpec table
+  kMsgHello = 1,          // worker -> ctl: HelloInfo
+  kMsgConfig = 2,         // ctl -> worker: WireConfig
+  kMsgConfigAck = 3,      // worker -> ctl: HelloInfo to Config, else empty
+  kMsgAddInstances = 4,   // ctl -> worker: InstanceTable
+  kMsgAddTenants = 5,     // ctl -> worker: std::vector<TenantSpec>
+  kMsgTick = 6,           // ctl -> worker (broadcast): TickCmd
+  kMsgTickDone = 7,       // worker -> ctl: TickReport
+  kMsgEvictTenant = 8,    // ctl -> worker: EvictTenant
+  kMsgTenantEvicted = 9,  // worker -> ctl: TenantEvicted
+  kMsgRestoreTenant = 10, // ctl -> worker: RestoreTenant
+  kMsgRestoreAck = 11,    // worker -> ctl: empty
+  kMsgShutdown = 14,      // ctl -> worker: empty
+  kMsgBye = 15,           // worker -> ctl: empty
+  kMsgAddSources = 16,    // ctl -> worker: SourceTable
 };
 
 const char* MsgTypeName(uint64_t type);
 
 // ---- Message bodies ------------------------------------------------------
+//
+// Each body's Fields list is its wire layout, in order.
 
 struct HelloInfo {
   uint64_t worker_index = 0;
@@ -79,6 +90,10 @@ struct HelloInfo {
   uint64_t protocol_version = kProtocolVersion;
   uint64_t metrics_port = 0;  // worker's own /metrics endpoint; 0 = none
 };
+template <class Io>
+void Fields(Io& io, HelloInfo& m) {
+  io(m.worker_index, m.pid, m.protocol_version, m.metrics_port);
+}
 
 struct WireConfig {
   Round rounds_per_tick = 64;
@@ -90,6 +105,11 @@ struct WireConfig {
   bool serve_metrics = false;      // worker runs an ExportServer
   std::string policy;              // sched/registry name; empty = dlru-edf
 };
+template <class Io>
+void Fields(Io& io, WireConfig& m) {
+  io(m.rounds_per_tick, m.max_live_sessions, m.collect_results, m.report_slo,
+     m.report_trace, m.checkpoint_interval_ticks, m.serve_metrics, m.policy);
+}
 
 // The subset of EngineOptions that travels (record_schedule and obs_scope
 // are process-local concepts and rejected at AddJobs).
@@ -102,6 +122,70 @@ struct WireOptions {
   static WireOptions From(const EngineOptions& options);
   friend bool operator==(const WireOptions&, const WireOptions&) = default;
 };
+template <class Io>
+void Fields(Io& io, WireOptions& m) {
+  io(m.num_resources, m.mini_rounds_per_round, m.delta);
+}
+
+// One color of a shipped instance.
+struct WireColor {
+  Round delay_bound = 1;
+  uint64_t drop_cost = 1;
+  std::string name;
+};
+template <class Io>
+void Fields(Io& io, WireColor& m) {
+  io(m.delay_bound, m.drop_cost, m.name);
+}
+
+// `count` identical jobs of one color arriving in one round.
+struct JobRun {
+  ColorId color = 0;
+  Round arrival = 0;
+  uint64_t count = 0;
+};
+template <class Io>
+void Fields(Io& io, JobRun& m) {
+  io(m.color, m.arrival, m.count);
+}
+
+// An instance in flight: its color table and its jobs, run-length encoded
+// over identical (color, arrival) runs, so bulk workloads (AddJobs bursts)
+// compress to one run per burst.
+struct WireInstance {
+  std::vector<WireColor> colors;
+  std::vector<JobRun> jobs;
+
+  static WireInstance From(const Instance& instance);
+  // Rebuilds the instance through InstanceBuilder, whose checks every
+  // shipped instance passes.
+  Instance Build() const;
+};
+template <class Io>
+void Fields(Io& io, WireInstance& m) {
+  io(m.colors, m.jobs);
+}
+
+// kMsgAddInstances body: instances[i] gets id first_id + i.
+struct InstanceTable {
+  uint32_t first_id = 0;
+  std::vector<WireInstance> instances;
+};
+template <class Io>
+void Fields(Io& io, InstanceTable& m) {
+  io(m.first_id, m.instances);
+}
+
+// kMsgAddSources body: specs[i] gets id first_id + i (the controller ships
+// each new spec to every worker exactly once, in id order).
+struct SourceTable {
+  uint32_t first_id = 0;
+  std::vector<workload::GeneratorSpec> specs;
+};
+template <class Io>
+void Fields(Io& io, SourceTable& m) {
+  io(m.first_id, m.specs);
+}
 
 // TenantSpec.source_id sentinel: the tenant is instance-fed.
 inline constexpr uint32_t kNoSourceId = 0xffffffffu;
@@ -114,6 +198,10 @@ struct TenantSpec {
   uint32_t source_id = kNoSourceId;
   WireOptions options;
 };
+template <class Io>
+void Fields(Io& io, TenantSpec& m) {
+  io(m.tenant, m.instance_id, m.source_id, m.options);
+}
 
 // Cumulative per-tenant progress at a tick barrier — exactly what the
 // controller's SloTracker::Observe consumes.
@@ -122,6 +210,10 @@ struct TenantProgress {
   uint64_t rounds = 0;  // engine.next_round()
   uint64_t misses = 0;  // engine.run_cost().drops
 };
+template <class Io>
+void Fields(Io& io, TenantProgress& m) {
+  io(m.tenant, m.rounds, m.misses);
+}
 
 // One simulated round of one tenant's mid-run accumulators — the golden
 // trace digest unit (matches tests' TraceDigest fold).
@@ -133,6 +225,11 @@ struct TraceRow {
   uint64_t weighted_drops = 0;
   uint64_t executed = 0;
 };
+template <class Io>
+void Fields(Io& io, TraceRow& m) {
+  io(m.tenant, m.round, m.reconfigurations, m.drops, m.weighted_drops,
+     m.executed);
+}
 
 // A tenant checkpoint in flight: codec words + the round it was cut at.
 struct TenantCheckpoint {
@@ -140,42 +237,38 @@ struct TenantCheckpoint {
   uint64_t round = 0;
   std::vector<uint64_t> words;
 };
+template <class Io>
+void Fields(Io& io, TenantCheckpoint& m) {
+  io(m.tenant, m.round, m.words);
+}
 
+// A completed tenant's RunResult. Telemetry travels as its deterministic
+// fields only: phase wall times are per-machine noise, excluded from oracle
+// comparisons anyway.
 struct TenantResult {
   uint64_t tenant = 0;
   RunResult result;
 };
+template <class Io>
+void Fields(Io& io, TenantResult& m) {
+  RunResult& r = m.result;
+  RRS_CHECK(!r.schedule.has_value())
+      << "recorded schedules do not travel over the dist protocol";
+  io(m.tenant, r.cost.reconfigurations, r.cost.drops, r.cost.weighted_drops,
+     r.executed, r.arrived, r.rounds_simulated, r.drops_per_color,
+     r.telemetry.reconfigs_per_color, r.telemetry.counters);
+}
 
-// kMsgTick broadcast body. `checkpoint` asks the worker to snapshot every
-// still-live tenant after stepping — the checkpoint stream failover recovers
-// from.
+// kMsgTick body. `checkpoint` asks the worker to snapshot every still-live
+// tenant after stepping — the checkpoint stream failover recovers from.
 struct TickCmd {
   uint64_t tick = 0;
   bool checkpoint = false;
 };
-
-// Where a kMsgSnapshotTenant / kMsgShedTenant request found its tenant.
-enum TenantState : uint64_t {
-  kTenantMissing = 0,  // protocol bug: controller asked the wrong worker
-  kTenantLive = 1,     // had an open run (snapshot words present)
-  kTenantWaiting = 2,  // assigned but not yet admitted (nothing to snapshot)
-};
-
-// kMsgTenantSnapshot reply. words are present only for kTenantLive; a
-// waiting tenant migrates by re-shipping its spec to the target instead.
-struct SnapshotReply {
-  uint64_t state = kTenantMissing;
-  TenantCheckpoint checkpoint;
-};
-
-// kMsgShedAck reply: the tenant's progress at the cut (for the controller's
-// shed accounting).
-struct ShedInfo {
-  uint64_t tenant = 0;
-  uint64_t state = kTenantMissing;  // TenantState
-  uint64_t rounds = 0;
-  uint64_t misses = 0;
-};
+template <class Io>
+void Fields(Io& io, TickCmd& m) {
+  io(m.tick, m.checkpoint);
+}
 
 // Everything a worker reports at one tick barrier.
 struct TickReport {
@@ -189,65 +282,74 @@ struct TickReport {
   std::vector<TraceRow> trace;            // report_trace only
   std::vector<TenantCheckpoint> checkpoints;  // checkpoint stream, when due
 };
+template <class Io>
+void Fields(Io& io, TickReport& m) {
+  io(m.tick, m.rounds_stepped, m.live, m.waiting, m.tick_wall_ns, m.completed,
+     m.slo, m.trace, m.checkpoints);
+}
+
+// kMsgEvictTenant body: take a tenant off its worker. Migration asks for
+// the checkpoint words; shedding does not.
+struct EvictTenant {
+  uint64_t tenant = 0;
+  bool checkpoint = false;
+};
+template <class Io>
+void Fields(Io& io, EvictTenant& m) {
+  io(m.tenant, m.checkpoint);
+}
+
+// Where an eviction found its tenant.
+enum TenantState : uint64_t {
+  kTenantMissing = 0,  // protocol bug: controller asked the wrong worker
+  kTenantLive = 1,     // had an open run
+  kTenantWaiting = 2,  // assigned but not yet admitted (no progress)
+};
+
+// kMsgTenantEvicted body: the tenant's progress at the cut — its round in
+// checkpoint.round and its misses — and, for a live tenant whose eviction
+// asked for them, its checkpoint words. A waiting tenant has made no
+// progress; it migrates by re-shipping its spec to the target.
+struct TenantEvicted {
+  uint64_t state = kTenantMissing;  // TenantState
+  uint64_t misses = 0;
+  TenantCheckpoint checkpoint;
+};
+template <class Io>
+void Fields(Io& io, TenantEvicted& m) {
+  io(m.state, m.misses, m.checkpoint);
+}
+
+// kMsgRestoreTenant body: a live session from checkpoint words.
+struct RestoreTenant {
+  TenantSpec spec;
+  TenantCheckpoint checkpoint;
+};
+template <class Io>
+void Fields(Io& io, RestoreTenant& m) {
+  io(m.spec, m.checkpoint);
+}
 
 // ---- Encoding ------------------------------------------------------------
-//
-// Writers append sections to a snapshot::Writer that the caller has
-// Clear()ed; readers consume the mirror-image sections. All multi-row
-// payloads are flat word runs inside one section — the codec checksums the
-// lot.
 
-void PutString(snapshot::Writer& w, const std::string& s);
-std::string GetString(snapshot::Reader& r);
+// Writes `body` as one kTagDistMsg section into `w`, which the caller has
+// Clear()ed.
+template <class T>
+void Put(snapshot::Writer& w, const T& body) {
+  w.BeginSection(snapshot::kTagDistMsg);
+  snapshot::FieldWriter{w}(body);
+  w.EndSection();
+}
 
-void PutHello(snapshot::Writer& w, const HelloInfo& hello);
-HelloInfo GetHello(snapshot::Reader& r);
-
-void PutConfig(snapshot::Writer& w, const WireConfig& config);
-WireConfig GetConfig(snapshot::Reader& r);
-
-void PutInstanceTable(snapshot::Writer& w,
-                      const std::vector<const Instance*>& instances,
-                      uint32_t first_id);
-// Appends (id, instance) pairs decoded from one kMsgAddInstances payload.
-void GetInstanceTable(snapshot::Reader& r,
-                      std::vector<std::pair<uint32_t, Instance>>* out);
-
-void PutTenantSpecs(snapshot::Writer& w,
-                    const std::vector<TenantSpec>& specs);
-void GetTenantSpecs(snapshot::Reader& r, std::vector<TenantSpec>* out);
-
-// kMsgAddSources payload: `specs[i]` gets id `first_id + i` (the controller
-// ships each new spec to every worker exactly once, in id order).
-void PutSourceTable(snapshot::Writer& w,
-                    const std::vector<const workload::GeneratorSpec*>& specs,
-                    uint32_t first_id);
-// Appends (id, spec) pairs decoded from one kMsgAddSources payload.
-void GetSourceTable(
-    snapshot::Reader& r,
-    std::vector<std::pair<uint32_t, workload::GeneratorSpec>>* out);
-
-void PutTickReport(snapshot::Writer& w, const TickReport& report);
-void GetTickReport(snapshot::Reader& r, TickReport* out);
-
-void PutCheckpoint(snapshot::Writer& w, const TenantCheckpoint& checkpoint);
-void GetCheckpoint(snapshot::Reader& r, TenantCheckpoint* out);
-
-void PutResult(snapshot::Writer& w, uint64_t tenant, const RunResult& result);
-void GetResult(snapshot::Reader& r, TenantResult* out);
-
-void PutTickCmd(snapshot::Writer& w, const TickCmd& cmd);
-TickCmd GetTickCmd(snapshot::Reader& r);
-
-// Single-tenant request body (kMsgSnapshotTenant, kMsgShedTenant).
-void PutTenantId(snapshot::Writer& w, uint64_t tenant);
-uint64_t GetTenantId(snapshot::Reader& r);
-
-void PutSnapshotReply(snapshot::Writer& w, const SnapshotReply& reply);
-void GetSnapshotReply(snapshot::Reader& r, SnapshotReply* out);
-
-void PutShedInfo(snapshot::Writer& w, const ShedInfo& info);
-ShedInfo GetShedInfo(snapshot::Reader& r);
+// Reads the body Put wrote.
+template <class T>
+T Get(snapshot::Reader& r) {
+  T body;
+  r.BeginSection(snapshot::kTagDistMsg);
+  snapshot::FieldReader{r}(body);
+  r.EndSection();
+  return body;
+}
 
 }  // namespace dist
 }  // namespace fleet

@@ -101,14 +101,11 @@ class Worker {
         case kMsgTick:
           HandleTick(reader);
           break;
-        case kMsgSnapshotTenant:
-          HandleSnapshotTenant(reader);
+        case kMsgEvictTenant:
+          HandleEvictTenant(reader);
           break;
         case kMsgRestoreTenant:
           HandleRestoreTenant(reader);
-          break;
-        case kMsgShedTenant:
-          HandleShedTenant(reader);
           break;
         case kMsgShutdown:
           reply_.Clear();
@@ -131,7 +128,7 @@ class Worker {
     hello.pid = static_cast<uint64_t>(::getpid());
     hello.protocol_version = kProtocolVersion;
     reply_.Clear();
-    PutHello(reply_, hello);
+    Put(reply_, hello);
     return net::SendFrame(fd_, kMsgHello, reply_.words());
   }
 
@@ -142,7 +139,7 @@ class Worker {
 
   void HandleConfig(snapshot::Reader& reader) {
     RRS_CHECK(core_ == nullptr) << "duplicate Config";
-    config_ = GetConfig(reader);
+    config_ = Get<WireConfig>(reader);
     TickCoreOptions core;
     const std::string policy =
         config_.policy.empty() ? std::string("dlru-edf") : config_.policy;
@@ -174,37 +171,36 @@ class Worker {
     ack.pid = static_cast<uint64_t>(::getpid());
     ack.metrics_port = metrics_port;
     reply_.Clear();
-    PutHello(reply_, ack);
+    Put(reply_, ack);
     Send(kMsgConfigAck);
   }
 
   void HandleAddInstances(snapshot::Reader& reader) {
-    std::vector<std::pair<uint32_t, Instance>> decoded;
-    GetInstanceTable(reader, &decoded);
-    for (auto& [id, instance] : decoded) {
+    const InstanceTable table = Get<InstanceTable>(reader);
+    for (size_t i = 0; i < table.instances.size(); ++i) {
       // std::map nodes are address-stable: engines keep Instance pointers
       // across rebinds, so the table must never relocate.
-      const auto [it, inserted] = instances_.emplace(id, std::move(instance));
-      RRS_CHECK(inserted) << "duplicate instance id " << id;
-      (void)it;
+      const uint32_t id = table.first_id + static_cast<uint32_t>(i);
+      RRS_CHECK(instances_.emplace(id, table.instances[i].Build()).second)
+          << "duplicate instance id " << id;
     }
     reply_.Clear();
     Send(kMsgConfigAck);
   }
 
   void HandleAddTenants(snapshot::Reader& reader) {
-    GetTenantSpecs(reader, &waiting_);
+    const std::vector<TenantSpec> specs = Get<std::vector<TenantSpec>>(reader);
+    waiting_.insert(waiting_.end(), specs.begin(), specs.end());
     reply_.Clear();
     Send(kMsgConfigAck);
   }
 
   void HandleAddSources(snapshot::Reader& reader) {
-    std::vector<std::pair<uint32_t, workload::GeneratorSpec>> decoded;
-    GetSourceTable(reader, &decoded);
-    for (auto& [id, spec] : decoded) {
-      const auto [it, inserted] = sources_.emplace(id, std::move(spec));
-      RRS_CHECK(inserted) << "duplicate source id " << id;
-      (void)it;
+    SourceTable table = Get<SourceTable>(reader);
+    for (size_t i = 0; i < table.specs.size(); ++i) {
+      const uint32_t id = table.first_id + static_cast<uint32_t>(i);
+      RRS_CHECK(sources_.emplace(id, std::move(table.specs[i])).second)
+          << "duplicate source id " << id;
     }
     reply_.Clear();
     Send(kMsgConfigAck);
@@ -235,7 +231,7 @@ class Worker {
 
   void HandleTick(snapshot::Reader& reader) {
     RRS_CHECK(core_ != nullptr) << "Tick before Config";
-    const TickCmd cmd = GetTickCmd(reader);
+    const TickCmd cmd = Get<TickCmd>(reader);
     TickCore& core = *core_;
 
     // ---- Admit waiting tenants, in admission order, up to the live cap.
@@ -307,7 +303,7 @@ class Worker {
     }
 
     reply_.Clear();
-    PutTickReport(reply_, report);
+    Put(reply_, report);
     Send(kMsgTickDone);
   }
 
@@ -322,58 +318,38 @@ class Worker {
     return true;
   }
 
-  void HandleSnapshotTenant(snapshot::Reader& reader) {
-    const uint64_t tenant = GetTenantId(reader);
-    SnapshotReply out;
-    out.checkpoint.tenant = tenant;
+  // Takes a tenant off this worker, for migration (with its checkpoint
+  // words) or shedding (without), and reports its progress at the cut.
+  void HandleEvictTenant(snapshot::Reader& reader) {
+    const EvictTenant request = Get<EvictTenant>(reader);
+    TenantEvicted out;
+    out.checkpoint.tenant = request.tenant;
     const std::optional<size_t> live =
-        core_ != nullptr ? core_->Find(tenant) : std::nullopt;
+        core_ != nullptr ? core_->Find(request.tenant) : std::nullopt;
     if (live.has_value()) {
+      const Engine& engine = core_->engine(*live);
       out.state = kTenantLive;
-      out.checkpoint.round =
-          static_cast<uint64_t>(core_->engine(*live).next_round());
-      core_->Evict(*live, &snapshot_scratch_);
-      out.checkpoint.words = snapshot_scratch_.words();
-    } else if (DropWaiting(tenant)) {
+      out.checkpoint.round = static_cast<uint64_t>(engine.next_round());
+      out.misses = engine.run_cost().drops;
+      core_->Evict(*live, request.checkpoint ? &snapshot_scratch_ : nullptr);
+      if (request.checkpoint) out.checkpoint.words = snapshot_scratch_.words();
+    } else if (DropWaiting(request.tenant)) {
       out.state = kTenantWaiting;
     }
     reply_.Clear();
-    PutSnapshotReply(reply_, out);
-    Send(kMsgTenantSnapshot);
+    Put(reply_, out);
+    Send(kMsgTenantEvicted);
   }
 
   void HandleRestoreTenant(snapshot::Reader& reader) {
     RRS_CHECK(core_ != nullptr) << "Restore before Config";
-    std::vector<TenantSpec> specs;
-    GetTenantSpecs(reader, &specs);
-    RRS_CHECK_EQ(specs.size(), 1u);
-    TenantCheckpoint checkpoint;
-    GetCheckpoint(reader, &checkpoint);
-    RRS_CHECK_EQ(specs[0].tenant, checkpoint.tenant);
+    const RestoreTenant restore = Get<RestoreTenant>(reader);
+    RRS_CHECK_EQ(restore.spec.tenant, restore.checkpoint.tenant);
     // Restores are exempt from the live cap (TickCore::Restore).
-    core_->Restore(specs[0].tenant, JobOf(specs[0]), checkpoint.words);
+    core_->Restore(restore.spec.tenant, JobOf(restore.spec),
+                   restore.checkpoint.words);
     reply_.Clear();
     Send(kMsgRestoreAck);
-  }
-
-  void HandleShedTenant(snapshot::Reader& reader) {
-    const uint64_t tenant = GetTenantId(reader);
-    ShedInfo info;
-    info.tenant = tenant;
-    const std::optional<size_t> live =
-        core_ != nullptr ? core_->Find(tenant) : std::nullopt;
-    if (live.has_value()) {
-      const Engine& engine = core_->engine(*live);
-      info.state = kTenantLive;
-      info.rounds = static_cast<uint64_t>(engine.next_round());
-      info.misses = engine.run_cost().drops;
-      core_->Evict(*live, nullptr);
-    } else if (DropWaiting(tenant)) {
-      info.state = kTenantWaiting;
-    }
-    reply_.Clear();
-    PutShedInfo(reply_, info);
-    Send(kMsgShedAck);
   }
 
   const int fd_;

@@ -9,10 +9,10 @@
 // tenants up to the live cap, steps every live session one round bucket,
 // and replies with a TickReport carrying completions, per-tenant SLO
 // progress rows, optional per-round trace rows, and — when the controller
-// asks — a checkpoint of every still-live tenant; Snapshot/Restore/Shed
-// implement the migration and failover edges on the core's checkpoint,
-// evict and restore operations. Shutdown replies Bye with lifetime totals
-// and returns.
+// asks — a checkpoint of every still-live tenant; Evict and Restore
+// implement the migration, shedding and failover edges on the core's
+// checkpoint, evict and restore operations. Shutdown replies with an empty
+// Bye and returns.
 //
 // Determinism: the core is single-threaded and every report's rows are
 // sorted by tenant, so a worker's observable behavior is a pure function of

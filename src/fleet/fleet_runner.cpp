@@ -57,6 +57,9 @@ struct FleetRunner::Shard {
 
   TickCore core;
   SessionPool<reduce::PipelineSession> pipeline_pool;
+  // A pipeline tenant's drops folded from the inner run's subcolors onto
+  // its own colors, for the SLO tracker; reused across tenants.
+  std::vector<uint64_t> pipeline_drops;
 };
 
 FleetRunner::FleetRunner(FleetOptions options) : options_(std::move(options)) {
@@ -118,9 +121,16 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
         out.rounds_simulated = pipe.inner.rounds_simulated;
         out.drops_per_color = pipe.inner.drops_per_color;
         out.telemetry = pipe.inner.telemetry;
+        // The result keeps the inner run's per-subcolor drops; the tracker
+        // classes misses by the tenant's own delay bounds.
+        shard.pipeline_drops.assign(job.instance->num_colors(), 0);
+        for (size_t c = 0; c < pipe.inner.drops_per_color.size(); ++c) {
+          shard.pipeline_drops[pipe.distribute.base_of[c]] +=
+              pipe.inner.drops_per_color[c];
+        }
       }
       shard.pipeline_pool.Release(std::move(session));
-      core.Complete(next, *job.instance, out);
+      core.Complete(next, *job.instance, out, shard.pipeline_drops);
     }
     core.Step(sink);
   }
@@ -170,9 +180,6 @@ std::vector<RunResult> FleetRunner::RunAll(std::span<const FleetJob> jobs) {
          total.slab_rounds_stepped - before.slab_rounds_stepped},
     };
     options_.scope->AbsorbCounters(counters);
-    if (obs::kEnabled && options_.slo != nullptr) {
-      options_.slo->AbsorbInto(*options_.scope);
-    }
   }
   return results;
 }

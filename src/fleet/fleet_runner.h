@@ -124,9 +124,9 @@ struct FleetOptions {
   const char* trace_label = "fleet.session";
   // Per-tenant SLO tracking (fleet/slo.h). When set, RunAll re-Binds the
   // tracker to (jobs, shards), observes every live tenant at each tick
-  // barrier, publishes per-shard snapshots for live scrapes, and absorbs
-  // fleet.slo.* into `scope` at the end. Pure observation — results stay
-  // bit-identical. Erased at RRS_OBS_LEVEL=0.
+  // barrier and publishes per-shard snapshots for live scrapes; the
+  // tracker's own section serves the fleet.slo.* series. Pure observation —
+  // results stay bit-identical. Erased at RRS_OBS_LEVEL=0.
   SloTracker* slo = nullptr;
   // Flight recorder (obs/flight_recorder.h): each shard records
   // tick/admit/finish, slab open/close, and SLO-exhaustion events into its

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/scope.h"
 #include "util/check.h"
 
 namespace rrs {
@@ -51,6 +50,7 @@ SloTracker::~SloTracker() = default;
 void SloTracker::Bind(size_t num_tenants, size_t num_shards) {
   if (tenants_.size() < num_tenants) tenants_.resize(num_tenants);
   std::fill(tenants_.begin(), tenants_.end(), TenantSlot());
+  std::lock_guard<std::mutex> structure(structure_mutex_);
   while (shards_.size() < num_shards) {
     shards_.push_back(std::make_unique<ShardState>());
   }
@@ -62,7 +62,6 @@ void SloTracker::Bind(size_t num_tenants, size_t num_shards) {
     shard->published = Snapshot();
     shard->published.top.reserve(options_.top_k);
   }
-  absorbed_ = Snapshot();
 }
 
 namespace {
@@ -185,8 +184,8 @@ uint32_t SloTracker::ObserveImpl(size_t shard_index, size_t tenant,
 }
 
 uint32_t SloTracker::Finish(size_t shard_index, size_t tenant,
-                            const Instance& instance,
-                            const RunResult& result) {
+                            const Instance& instance, const RunResult& result,
+                            std::span<const uint64_t> drops_per_color) {
   // Catch up on any progress since the last barrier, then retire.
   const uint32_t newly_exhausted =
       ObserveImpl(shard_index, tenant,
@@ -196,16 +195,12 @@ uint32_t SloTracker::Finish(size_t shard_index, size_t tenant,
   ShardState& shard = *shards_[shard_index];
   ++shard.acc.tenants_finished;
   if (result.cost.drops != 0) {
-    for (size_t c = 0; c < result.drops_per_color.size() &&
-                       c < instance.num_colors();
-         ++c) {
-      const uint64_t count = result.drops_per_color[c];
+    for (size_t c = 0;
+         c < drops_per_color.size() && c < instance.num_colors(); ++c) {
+      const uint64_t count = drops_per_color[c];
       if (count == 0) continue;
       const uint64_t delay_class =
           static_cast<uint64_t>(instance.delay_bound(static_cast<ColorId>(c)));
-      // Single cumulative record; AbsorbInto recovers its delta against the
-      // absorbed baseline bucket-wise (LogHistogram::MergeDiff), so this
-      // per-session loop does not pay a second histogram.
       shard.acc.miss_delay.RecordMany(delay_class, count);
     }
   }
@@ -256,9 +251,21 @@ void SloTracker::Publish(size_t shard_index) {
 }
 
 SloTracker::Snapshot SloTracker::SnapshotShard(size_t shard_index) const {
+  std::lock_guard<std::mutex> structure(structure_mutex_);
   const ShardState& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mutex);
   return shard.published;
+}
+
+std::vector<SloTracker::Snapshot> SloTracker::PublishedShards() const {
+  std::lock_guard<std::mutex> structure(structure_mutex_);
+  std::vector<Snapshot> shards;
+  shards.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    shards.push_back(shard->published);
+  }
+  return shards;
 }
 
 namespace {
@@ -293,9 +300,7 @@ void RankTop(std::vector<SloTracker::TenantBurn>& top, uint32_t limit) {
 
 SloTracker::Snapshot SloTracker::SnapshotTotals() const {
   Snapshot total;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    SumInto(total, SnapshotShard(s));
-  }
+  for (const Snapshot& shard : PublishedShards()) SumInto(total, shard);
   RankTop(total.top, options_.top_k);
   return total;
 }
@@ -303,11 +308,7 @@ SloTracker::Snapshot SloTracker::SnapshotTotals() const {
 std::string SloTracker::RenderPrometheus(std::string_view prefix) const {
   // One consistent copy per shard; totals are the sum of exactly these
   // copies, so a scrape's per-shard series always add up to its totals.
-  std::vector<Snapshot> shards;
-  shards.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards.push_back(SnapshotShard(s));
-  }
+  const std::vector<Snapshot> shards = PublishedShards();
   Snapshot total;
   for (const Snapshot& shard : shards) SumInto(total, shard);
   RankTop(total.top, options_.top_k);
@@ -377,11 +378,9 @@ std::string SloTracker::TenantsJson(uint32_t limit) const {
     TenantBurn burn;
   };
   std::vector<Entry> entries;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Snapshot snapshot = SnapshotShard(s);
-    for (const TenantBurn& burn : snapshot.top) {
-      entries.push_back({s, burn});
-    }
+  const std::vector<Snapshot> shards = PublishedShards();
+  for (size_t s = 0; s < shards.size(); ++s) {
+    for (const TenantBurn& burn : shards[s].top) entries.push_back({s, burn});
   }
   std::sort(entries.begin(), entries.end(), [](const Entry& a,
                                                const Entry& b) {
@@ -405,46 +404,6 @@ std::string SloTracker::TenantsJson(uint32_t limit) const {
   }
   out += entries.empty() ? "]\n" : "\n]\n";
   return out;
-}
-
-void SloTracker::AbsorbInto(obs::Scope& scope) {
-  // Serial (end of RunAll, workers joined): read the accumulators directly
-  // and absorb deltas against the last absorption.
-  Snapshot total;
-  for (auto& shard : shards_) {
-    SumInto(total, shard->acc);
-  }
-  // The since-last-absorb histogram delta, recovered bucket-wise from the
-  // cumulative totals — Finish records each miss once, not into a second
-  // pending histogram.
-  obs::LogHistogram pending;
-  pending.MergeDiff(total.miss_delay, absorbed_.miss_delay);
-  RankTop(total.top, options_.top_k);
-  const std::pair<std::string_view, uint64_t> counters[] = {
-      {"fleet.slo.observations", total.observations - absorbed_.observations},
-      {"fleet.slo.rounds", total.rounds - absorbed_.rounds},
-      {"fleet.slo.misses", total.misses - absorbed_.misses},
-      {"fleet.slo.windows_closed",
-       total.windows_closed - absorbed_.windows_closed},
-      {"fleet.slo.windows_breached",
-       total.windows_breached - absorbed_.windows_breached},
-      {"fleet.slo.exhausted_events",
-       total.exhausted_events - absorbed_.exhausted_events},
-      {"fleet.slo.tenants_seen", total.tenants_seen - absorbed_.tenants_seen},
-      {"fleet.slo.tenants_finished",
-       total.tenants_finished - absorbed_.tenants_finished},
-  };
-  scope.AbsorbCounters(counters);
-  scope.AbsorbGauge("fleet.slo.tenants_out_of_budget",
-                    static_cast<double>(total.tenants_out_of_budget));
-  scope.AbsorbGauge(
-      "fleet.slo.tenants_in_budget",
-      static_cast<double>(total.tenants_seen) -
-          static_cast<double>(total.tenants_out_of_budget));
-  scope.AbsorbGauge("fleet.slo.worst_burn",
-                    total.top.empty() ? 0.0 : total.top.front().burn);
-  scope.AbsorbHistogram("fleet.slo.miss_delay", pending);
-  absorbed_ = std::move(total);
 }
 
 }  // namespace fleet

@@ -19,7 +19,15 @@
 // thread-count-invariant, the entire SLO state — including which window a
 // miss lands in — is bit-identical at any thread count. Scrapes never
 // mutate: they read the per-shard snapshots copied at the last Publish,
-// under that shard's mutex.
+// under that shard's mutex. A scrape may run while Bind grows the shard
+// table (a runner's next RunAll, the dist controller's AddJobs), so the
+// table itself sits behind one structure lock, which Bind and the scrape
+// side take and Observe and Publish do not.
+//
+// The tracker owns its series alone: the live Prometheus section (totals
+// and per shard), /tenants and SnapshotTotals. Runners do not copy them
+// into an obs::Scope, so a page that serves a scope and the tracker's
+// section carries each rrs_fleet_slo_* family once.
 //
 // Hot-path cost: Observe touches one tenant slot and one shard accumulator
 // block (both shard-owned between barriers — no atomics, no locks) and
@@ -31,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,10 +49,6 @@
 #include "obs/metrics.h"
 
 namespace rrs {
-namespace obs {
-class Scope;
-}  // namespace obs
-
 namespace fleet {
 
 struct SloOptions {
@@ -109,12 +114,13 @@ class SloTracker {
   // Final accounting when a tenant completes: catches up on progress since
   // the last barrier, closes the partial window, retires the tenant from
   // the worst-burn list (the list is a live view of current burners;
-  // counters and the histogram keep the history), and folds the run's
-  // per-color drops into the shard's miss-by-delay-class histogram (delay
-  // bound = the color's delay class). Returns newly-triggered exhaustions,
-  // like Observe.
+  // counters and the histogram keep the history), and folds
+  // `drops_per_color` — the run's drops per color of `instance` — into the
+  // shard's miss-by-delay-class histogram (delay bound = the color's delay
+  // class). Returns newly-triggered exhaustions, like Observe.
   uint32_t Finish(size_t shard, size_t tenant, const Instance& instance,
-                  const RunResult& result);
+                  const RunResult& result,
+                  std::span<const uint64_t> drops_per_color);
 
   // Retires a tenant that leaves without completing (a shed tenant): closes
   // its partial window and drops it from the worst-burn list, as Finish
@@ -141,15 +147,13 @@ class SloTracker {
   // /tenants endpoint. `limit` 0 means options().top_k.
   std::string TenantsJson(uint32_t limit = 0) const;
 
-  // Absorbs the delta since the last call as fleet.slo.* counters, the
-  // fleet.slo.worst_burn / tenants_{in,out}_of_budget gauges, and the
-  // fleet.slo.miss_delay histogram. Serial; runners call it at end of
-  // RunAll.
-  void AbsorbInto(obs::Scope& scope);
-
  private:
   struct TenantSlot;
   struct ShardState;
+
+  // Every shard's published snapshot, copied under the structure lock: the
+  // one read the scrape side makes.
+  std::vector<Snapshot> PublishedShards() const;
 
   uint32_t ObserveImpl(size_t shard, size_t tenant, uint64_t rounds,
                        uint64_t misses, bool update_top);
@@ -159,8 +163,10 @@ class SloTracker {
 
   SloOptions options_;
   std::vector<TenantSlot> tenants_;
+  // Guards the growth of shards_ (Bind) against the scrape side's reads of
+  // it; each shard's own mutex still guards its published snapshot.
+  mutable std::mutex structure_mutex_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  Snapshot absorbed_;  // baseline for AbsorbInto deltas
 };
 
 }  // namespace fleet

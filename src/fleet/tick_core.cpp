@@ -222,7 +222,7 @@ void TickCore::Step(TickSink& sink) {
     }
     RunResult& result = sink.Completion(entry.tenant);
     engine.FinishRun(result);
-    Finished(entry.tenant, engine.instance(), result);
+    Finished(entry.tenant, engine.instance(), result, result.drops_per_color);
     pool_.Release(std::move(entry.session));
   }
   live_.resize(out);
@@ -272,7 +272,7 @@ void TickCore::StepSlabs(TickSink& sink) {
       RunResult& result = sink.Completion(slot.tenant);
       engine.FinishLane(lane, result);
       --lanes_;
-      Finished(slot.tenant, *slot.shape, result);
+      Finished(slot.tenant, *slot.shape, result, result.drops_per_color);
       slot.source.reset();
     }
     if (more) {
@@ -297,16 +297,19 @@ void TickCore::Progress(TickSink& sink, uint64_t tenant, uint64_t rounds,
 }
 
 void TickCore::Complete(uint64_t tenant, const Instance& shape,
-                        const RunResult& result) {
+                        const RunResult& result,
+                        std::span<const uint64_t> drops_per_color) {
   stats_.rounds_stepped += static_cast<uint64_t>(result.rounds_simulated);
-  Finished(tenant, shape, result);
+  Finished(tenant, shape, result, drops_per_color);
 }
 
 void TickCore::Finished(uint64_t tenant, const Instance& shape,
-                        const RunResult& result) {
+                        const RunResult& result,
+                        std::span<const uint64_t> drops_per_color) {
   ++stats_.sessions_completed;
   if (options_.slo != nullptr &&
-      options_.slo->Finish(options_.shard, tenant, shape, result) > 0) {
+      options_.slo->Finish(options_.shard, tenant, shape, result,
+                           drops_per_color) > 0) {
     Record(obs::kFlightSloExhausted, tenant);
   }
   Record(obs::kFlightFinish, tenant, result.cost.drops);

@@ -144,9 +144,11 @@ class TickCore {
 
   // Folds a tenant the runner ran to completion outside the core
   // (FleetRunner's pipeline tenants): counts it and its rounds and feeds
-  // the SLO tracker and the flight recorder.
+  // the SLO tracker — with `drops_per_color`, its drops per color of
+  // `shape` — and the flight recorder.
   void Complete(uint64_t tenant, const Instance& shape,
-                const RunResult& result);
+                const RunResult& result,
+                std::span<const uint64_t> drops_per_color);
 
   // ---- Scalar sessions, indexed [0, sessions()) in admission/restore order
   // (Slab lanes are not addressable: they are never checkpointed.)
@@ -194,7 +196,8 @@ class TickCore {
   void Progress(TickSink& sink, uint64_t tenant, uint64_t rounds,
                 const CostBreakdown& cost);
   void Finished(uint64_t tenant, const Instance& shape,
-                const RunResult& result);
+                const RunResult& result,
+                std::span<const uint64_t> drops_per_color);
   // Flight event stamped with the tick's one clock read.
   void Record(uint32_t type, uint64_t arg1, uint64_t arg2 = 0);
 

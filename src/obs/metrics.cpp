@@ -76,21 +76,6 @@ void LogHistogram::Merge(const LogHistogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void LogHistogram::MergeDiff(const LogHistogram& cur,
-                             const LogHistogram& baseline) {
-  // count_ == count_ fast path: nothing recorded since the baseline copy.
-  if (cur.count_ == baseline.count_) {
-    max_ = std::max(max_, cur.max_);
-    return;
-  }
-  for (uint32_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += cur.buckets_[i] - baseline.buckets_[i];
-  }
-  count_ += cur.count_ - baseline.count_;
-  sum_ += cur.sum_ - baseline.sum_;
-  max_ = std::max(max_, cur.max_);
-}
-
 void LogHistogram::Reset() {
   // count_ == 0 implies every bucket (and sum_/max_) is already zero: Record
   // bumps count_ with every bucket increment and Merge adds counts in step.

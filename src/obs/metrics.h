@@ -76,14 +76,6 @@ class LogHistogram {
   double Quantile(double q) const;
 
   void Merge(const LogHistogram& other);
-  // Folds in the delta cur - baseline, where `baseline` is a copy of `cur`
-  // taken earlier (both grow-only accumulators of the same stream). Lets a
-  // periodic absorber pull "what's new since last time" out of a cumulative
-  // histogram without the writer double-recording into a separate pending
-  // histogram on its hot path. max() folds cur's cumulative max: for a
-  // running absorb-delta stream the merged max still equals the max over
-  // all events absorbed so far.
-  void MergeDiff(const LogHistogram& cur, const LogHistogram& baseline);
   void Reset();
 
   // Bucket introspection (exports/tests): value range [lo, hi) of bucket i.

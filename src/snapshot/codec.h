@@ -46,9 +46,9 @@ inline constexpr uint64_t kMagic = 0x72727353'6e617031ULL;  // "rrsSnap1"
 inline constexpr uint64_t kVersion = 1;
 
 // Section tags, one per component that owns serialized state. Tag mismatch
-// on read aborts with both tags in the message. Tags 2 and 12 are retired:
-// never reuse them, so no stale checkpoint section reads as another
-// component's.
+// on read aborts with both tags in the message. Tags 2, 12, 16–20 and 22 are
+// retired: never reuse them, so no stale checkpoint section or frame reads
+// as another component's.
 enum Tag : uint64_t {
   kTagEngine = 1,
   kTagLruTracker = 3,
@@ -63,19 +63,12 @@ enum Tag : uint64_t {
   kTagPolicyBatched = 13,
   kTagPolicyInstrumented = 14,
   // Distributed-fleet control protocol (fleet/dist/protocol.h): every frame
-  // payload is a codec word stream, so messages inherit the checksum and
-  // version-skew checks. One tag per section kind within a message.
+  // payload is a codec word stream holding one section of this tag, so
+  // messages inherit the checksum and version-skew checks.
   kTagDistMsg = 15,
-  kTagDistInstance = 16,
-  kTagDistResult = 17,
-  kTagDistSlo = 18,
-  kTagDistTrace = 19,
-  kTagDistCheckpoint = 20,
   // Streaming arrival generators (workload/arrival_source.h): one section
   // per source.
   kTagArrivalSource = 21,
-  // A GeneratorSpec shipped over the dist wire (workload/generator_spec.h).
-  kTagDistSource = 22,
 };
 
 // FNV-1a over 64-bit words (the repo-wide checksum; same constants as the

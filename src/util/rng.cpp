@@ -40,10 +40,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-double Rng::UniformDouble(double lo, double hi) {
-  return lo + (hi - lo) * UniformDouble();
-}
-
 uint64_t Rng::Poisson(double mean) {
   RRS_CHECK_GE(mean, 0.0);
   if (mean == 0) return 0;

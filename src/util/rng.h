@@ -95,9 +95,6 @@ class Rng {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;
   }
 
-  // Uniform double in [lo, hi).
-  double UniformDouble(double lo, double hi);
-
   // True with probability p (clamped to [0, 1]).
   bool Bernoulli(double p) {
     if (p <= 0) return false;

@@ -1,7 +1,5 @@
 #include "workload/generator_spec.h"
 
-#include <bit>
-
 #include "util/check.h"
 #include "workload/source.h"
 
@@ -218,48 +216,6 @@ std::unique_ptr<ArrivalSource> MakeSource(const GeneratorSpec& spec) {
                        << " cannot ship as a GeneratorSpec";
       return nullptr;
   }
-}
-
-void PutGeneratorSpec(snapshot::Writer& w, const GeneratorSpec& spec) {
-  w.BeginSection(snapshot::kTagDistSource);
-  w.PutU64(static_cast<uint64_t>(spec.family));
-  w.PutU64(spec.seed);
-  w.PutI64(spec.rounds);
-  w.PutBool(spec.batched);
-  w.PutBool(spec.rate_limited);
-  w.PutVec(spec.delays);
-  w.PutU64(spec.rates.size());
-  for (const double d : spec.rates) w.PutU64(std::bit_cast<uint64_t>(d));
-  w.PutU64(spec.extra.size());
-  for (const double d : spec.extra) w.PutU64(std::bit_cast<uint64_t>(d));
-  w.PutU64(spec.names.size());
-  for (const std::string& name : spec.names) {
-    w.PutU64(name.size());
-    for (const char ch : name) w.PutU64(static_cast<unsigned char>(ch));
-  }
-  w.EndSection();
-}
-
-GeneratorSpec GetGeneratorSpec(snapshot::Reader& r) {
-  r.BeginSection(snapshot::kTagDistSource);
-  GeneratorSpec spec;
-  spec.family = static_cast<ArrivalSource::Family>(r.GetU64());
-  spec.seed = r.GetU64();
-  spec.rounds = r.GetI64();
-  spec.batched = r.GetBool();
-  spec.rate_limited = r.GetBool();
-  r.GetVec(spec.delays);
-  spec.rates.resize(r.GetU64());
-  for (double& d : spec.rates) d = std::bit_cast<double>(r.GetU64());
-  spec.extra.resize(r.GetU64());
-  for (double& d : spec.extra) d = std::bit_cast<double>(r.GetU64());
-  spec.names.resize(r.GetU64());
-  for (std::string& name : spec.names) {
-    name.resize(r.GetU64());
-    for (char& ch : name) ch = static_cast<char>(r.GetU64());
-  }
-  r.EndSection();
-  return spec;
 }
 
 }  // namespace workload

@@ -12,7 +12,8 @@
 //
 // Specs are value types with operator== so controllers can dedupe: tenants
 // sharing one spec ship it once (kMsgAddSources carries a spec table;
-// TenantSpec references a spec id).
+// TenantSpec references a spec id). Fields below is the spec's wire layout
+// (snapshot/fields.h).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "snapshot/codec.h"
 #include "workload/arrival_source.h"
 #include "workload/memctrl.h"
 #include "workload/scenarios.h"
@@ -44,6 +44,11 @@ struct GeneratorSpec {
   friend bool operator==(const GeneratorSpec& a,
                          const GeneratorSpec& b) = default;
 };
+template <class Io>
+void Fields(Io& io, GeneratorSpec& m) {
+  io(m.family, m.seed, m.rounds, m.batched, m.rate_limited, m.delays, m.rates,
+     m.extra, m.names);
+}
 
 // Spec builders, one per family (inverse of MakeSource).
 GeneratorSpec PoissonSpec(const std::vector<ColorSpec>& colors,
@@ -59,10 +64,6 @@ GeneratorSpec MemctrlSpec(const MemctrlOptions& options);
 // Instantiates the source a spec describes. Aborts on a family that cannot
 // ship as a spec (kInstance, kPush and the reserved ids).
 std::unique_ptr<ArrivalSource> MakeSource(const GeneratorSpec& spec);
-
-// One snapshot::kTagDistSource section per spec.
-void PutGeneratorSpec(snapshot::Writer& w, const GeneratorSpec& spec);
-GeneratorSpec GetGeneratorSpec(snapshot::Reader& r);
 
 }  // namespace workload
 }  // namespace rrs

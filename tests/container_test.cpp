@@ -119,14 +119,6 @@ TEST(LruTracker, RemoveAndOldest) {
   EXPECT_TRUE(lru.CheckInvariants());
 }
 
-TEST(LruTracker, InsertOrTouch) {
-  LruTracker lru(4);
-  lru.InsertOrTouch(2, 1);
-  lru.InsertOrTouch(2, 7);
-  EXPECT_EQ(lru.TimestampOf(2), 7);
-  EXPECT_EQ(lru.size(), 1u);
-}
-
 TEST(LruTracker, TopKLargerThanSize) {
   LruTracker lru(4);
   lru.Insert(0, 1);
@@ -141,7 +133,11 @@ TEST(LruTracker, RandomizedInvariants) {
     uint32_t key = static_cast<uint32_t>(rng.NextBounded(32));
     int64_t ts = static_cast<int64_t>(rng.NextBounded(1000));
     if (rng.UniformDouble() < 0.7) {
-      lru.InsertOrTouch(key, ts);
+      if (lru.Contains(key)) {
+        lru.Touch(key, ts);
+      } else {
+        lru.Insert(key, ts);
+      }
       present[key] = true;
     } else if (present[key]) {
       lru.Remove(key);

@@ -247,20 +247,18 @@ TEST(DistProtocol, SourceTableRoundTripsAndRebuildsIdenticalSources) {
   mem.seed = 5;
   const workload::GeneratorSpec memctrl = workload::MemctrlSpec(mem);
   snapshot::Writer w;
-  PutSourceTable(w, {&poisson, &memctrl}, 7);
+  Put(w, SourceTable{7, {poisson, memctrl}});
   snapshot::Reader r(w.words());
-  std::vector<std::pair<uint32_t, workload::GeneratorSpec>> decoded;
-  GetSourceTable(r, &decoded);
+  const SourceTable decoded = Get<SourceTable>(r);
   EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0].first, 7u);
-  EXPECT_EQ(decoded[1].first, 8u);
-  EXPECT_EQ(decoded[0].second, poisson);
-  EXPECT_EQ(decoded[1].second, memctrl);
+  ASSERT_EQ(decoded.specs.size(), 2u);
+  EXPECT_EQ(decoded.first_id, 7u);
+  EXPECT_EQ(decoded.specs[0], poisson);
+  EXPECT_EQ(decoded.specs[1], memctrl);
   // A worker-side instantiation of the decoded spec drives the engine
   // identically to the controller's local one.
   auto local = workload::MakeSource(poisson);
-  auto remote = workload::MakeSource(decoded[0].second);
+  auto remote = workload::MakeSource(decoded.specs[0]);
   auto p1 = MakePolicy("dlru-edf");
   auto p2 = MakePolicy("dlru-edf");
   Engine e1;
@@ -278,10 +276,9 @@ TEST(DistProtocol, TenantSpecsCarrySourceIds) {
   specs[1].tenant = 4;
   specs[1].source_id = 9;
   snapshot::Writer w;
-  PutTenantSpecs(w, specs);
+  Put(w, specs);
   snapshot::Reader r(w.words());
-  std::vector<TenantSpec> got;
-  GetTenantSpecs(r, &got);
+  const std::vector<TenantSpec> got = Get<std::vector<TenantSpec>>(r);
   EXPECT_TRUE(r.AtEnd());
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].source_id, kNoSourceId);
@@ -301,9 +298,9 @@ TEST(DistProtocol, ConfigRoundTrips) {
   config.serve_metrics = true;
   config.policy = "greedy-edf";
   snapshot::Writer w;
-  PutConfig(w, config);
+  Put(w, config);
   snapshot::Reader r(w.words());
-  const WireConfig got = GetConfig(r);
+  const WireConfig got = Get<WireConfig>(r);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(got.rounds_per_tick, 17);
   EXPECT_EQ(got.max_live_sessions, 5u);
@@ -323,14 +320,13 @@ TEST(DistProtocol, InstanceTableRoundTripsIncludingNamesAndDropCosts) {
   builder.AddJobs(0, 5, 3);
   const Instance original = builder.Build();
   snapshot::Writer w;
-  PutInstanceTable(w, {&original}, 11);
+  Put(w, InstanceTable{11, {WireInstance::From(original)}});
   snapshot::Reader r(w.words());
-  std::vector<std::pair<uint32_t, Instance>> decoded;
-  GetInstanceTable(r, &decoded);
+  const InstanceTable decoded = Get<InstanceTable>(r);
   EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].first, 11u);
-  const Instance& got = decoded[0].second;
+  ASSERT_EQ(decoded.instances.size(), 1u);
+  EXPECT_EQ(decoded.first_id, 11u);
+  const Instance got = decoded.instances[0].Build();
   ASSERT_EQ(got.num_colors(), original.num_colors());
   for (ColorId c = 0; c < original.num_colors(); ++c) {
     EXPECT_EQ(got.delay_bound(c), original.delay_bound(c));
@@ -370,10 +366,9 @@ TEST(DistProtocol, TickReportRoundTripsAllSections) {
   report.trace = {{1, 63, 4, 2, 6, 50}, {1, 64, 4, 2, 6, 51}};
   report.checkpoints.push_back({2, 64, {9, 8, 7}});
   snapshot::Writer w;
-  PutTickReport(w, report);
+  Put(w, report);
   snapshot::Reader r(w.words());
-  TickReport got;
-  GetTickReport(r, &got);
+  const TickReport got = Get<TickReport>(r);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(got.tick, 3u);
   EXPECT_EQ(got.rounds_stepped, 640u);
@@ -396,51 +391,92 @@ TEST(DistProtocol, TickReportRoundTripsAllSections) {
 TEST(DistProtocol, SmallBodiesRoundTrip) {
   {
     snapshot::Writer w;
-    PutTickCmd(w, {77, true});
+    Put(w, TickCmd{77, true});
     snapshot::Reader r(w.words());
-    const TickCmd cmd = GetTickCmd(r);
+    const TickCmd cmd = Get<TickCmd>(r);
     EXPECT_EQ(cmd.tick, 77u);
     EXPECT_TRUE(cmd.checkpoint);
   }
   {
     snapshot::Writer w;
-    PutTenantId(w, 123456789);
+    Put(w, EvictTenant{123456789, true});
     snapshot::Reader r(w.words());
-    EXPECT_EQ(GetTenantId(r), 123456789u);
+    const EvictTenant evict = Get<EvictTenant>(r);
+    EXPECT_EQ(evict.tenant, 123456789u);
+    EXPECT_TRUE(evict.checkpoint);
   }
   {
-    SnapshotReply reply;
+    TenantEvicted reply;
     reply.state = kTenantLive;
     reply.checkpoint = {5, 40, {1, 2, 3}};
     snapshot::Writer w;
-    PutSnapshotReply(w, reply);
+    Put(w, reply);
     snapshot::Reader r(w.words());
-    SnapshotReply got;
-    GetSnapshotReply(r, &got);
+    const TenantEvicted got = Get<TenantEvicted>(r);
     EXPECT_EQ(got.state, static_cast<uint64_t>(kTenantLive));
     EXPECT_EQ(got.checkpoint.round, 40u);
     EXPECT_EQ(got.checkpoint.words.size(), 3u);
   }
   {
-    SnapshotReply waiting;
+    TenantEvicted waiting;
     waiting.state = kTenantWaiting;
     snapshot::Writer w;
-    PutSnapshotReply(w, waiting);
+    Put(w, waiting);
     snapshot::Reader r(w.words());
-    SnapshotReply got;
-    GetSnapshotReply(r, &got);
+    const TenantEvicted got = Get<TenantEvicted>(r);
     EXPECT_EQ(got.state, static_cast<uint64_t>(kTenantWaiting));
     EXPECT_TRUE(got.checkpoint.words.empty());
   }
   {
     snapshot::Writer w;
-    PutShedInfo(w, {9, kTenantLive, 33, 4});
+    Put(w, TenantEvicted{kTenantLive, 4, {9, 33, {}}});
     snapshot::Reader r(w.words());
-    const ShedInfo info = GetShedInfo(r);
-    EXPECT_EQ(info.tenant, 9u);
-    EXPECT_EQ(info.rounds, 33u);
+    const TenantEvicted info = Get<TenantEvicted>(r);
+    EXPECT_EQ(info.checkpoint.tenant, 9u);
+    EXPECT_EQ(info.checkpoint.round, 33u);
     EXPECT_EQ(info.misses, 4u);
   }
+}
+
+// ---- Bounded decoding ----------------------------------------------------
+//
+// A frame is another process's words. A checksummed section that announces
+// more elements, or a longer string, than its remaining words can hold must
+// die on the reader's count check before anything is sized from the count.
+
+// One kTagDistMsg section of raw payload words, with a valid checksum.
+std::vector<uint64_t> Frame(const std::vector<uint64_t>& payload) {
+  snapshot::Writer w;
+  w.BeginSection(snapshot::kTagDistMsg);
+  for (const uint64_t word : payload) w.PutU64(word);
+  w.EndSection();
+  return w.words();
+}
+
+template <class T>
+void Decode(const std::vector<uint64_t>& words) {
+  snapshot::Reader r(words);
+  Get<T>(r);
+}
+
+TEST(DistProtocolDeathTest, AnnouncedCountsBeyondTheFrameDie) {
+  constexpr uint64_t kHuge = uint64_t{1} << 50;
+  constexpr const char* kCountCheck = "exceeds the words left in the section";
+  // TickReport: tick, rounds, live, waiting, wall ns, no completions, then
+  // 2^50 SLO rows.
+  EXPECT_DEATH(Decode<TickReport>(Frame({3, 640, 7, 2, 9, 0, kHuge, 0, 0})),
+               kCountCheck);
+  // A tenant batch of 2^50 specs.
+  EXPECT_DEATH(Decode<std::vector<TenantSpec>>(Frame({kHuge, 1, 2, 3})),
+               kCountCheck);
+  // An instance batch of 2^50 instances.
+  EXPECT_DEATH(Decode<InstanceTable>(Frame({0, kHuge, 0, 0})), kCountCheck);
+  // A source table whose one spec's one name announces 4 KiB in one word:
+  // first id, one spec (family, seed, rounds, batched, rate_limited, no
+  // delays, rates or extra), one name.
+  EXPECT_DEATH(Decode<SourceTable>(
+                   Frame({0, 1, 1, 1, 16, 0, 0, 0, 0, 0, 1, 4096, 0})),
+               kCountCheck);
 }
 
 // ---- End-to-end: multi-process fleet vs fresh-engine oracle --------------
@@ -575,6 +611,39 @@ TEST(DistShed, ScriptedShedDropsOneTenantAndLeavesTheRestExact) {
     ExpectSameRunResult(run.results[t], oracle[t],
                         "shed-survivor " + std::to_string(t));
   }
+}
+
+// A tenant shed before its worker admits it: the eviction finds it waiting,
+// drops it from the queue, and it never runs or reaches the SLO tracker.
+TEST(DistShed, ShedOfAWaitingTenantNeverAdmitsIt) {
+  std::vector<Instance> tenants = {DistTenant(55), DistTenant(56),
+                                   DistTenant(57)};
+  const std::string policy = "dlru-edf";
+  DistOptions options;
+  options.num_workers = 1;
+  options.worker.policy = policy;
+  options.worker.rounds_per_tick = 16;
+  options.worker.max_live_sessions = 1;
+  DistController controller(std::move(options));
+  std::string error;
+  ASSERT_TRUE(controller.Start(&error)) << error;
+  controller.AddJobs(InstanceJobs(tenants));
+  // At the first barrier tenant 0 runs; tenants 1 and 2 wait behind the cap.
+  controller.ScheduleShed(1, 2);
+  const std::vector<RunResult> results = controller.Run();
+  EXPECT_EQ(controller.stats().shed, 1u);
+  EXPECT_EQ(controller.stats().completed, tenants.size() - 1);
+  EXPECT_TRUE(controller.tenant_shed(2));
+  EXPECT_EQ(results[2].rounds_simulated, 0);  // default result
+  EXPECT_EQ(results[2].arrived, 0u);
+  for (size_t t = 0; t < 2; ++t) {
+    EXPECT_FALSE(controller.tenant_shed(t));
+    auto p = MakePolicy(policy);
+    ExpectSameRunResult(results[t], RunPolicy(tenants[t], *p, TestOptions()),
+                        "waiting-shed survivor " + std::to_string(t));
+  }
+  EXPECT_EQ(controller.slo()->SnapshotTotals().tenants_seen, 2u);
+  controller.Shutdown();
 }
 
 // `never` never reconfigures, so most jobs miss their delay bounds: every

@@ -26,6 +26,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/scope.h"
 #include "parallel/thread_pool.h"
+#include "reduce/pipeline.h"
+#include "workload/scenarios.h"
 #include "workload/synthetic.h"
 
 namespace rrs {
@@ -198,7 +200,7 @@ TEST(SloTracker, RenderPrometheusShardSeriesSumToTotals) {
 
 // ---- Fleet runner integration ---------------------------------------------
 
-TEST(FleetSlo, TotalsMatchRunResultsAndAbsorbIntoScope) {
+TEST(FleetSlo, TotalsMatchRunResults) {
   Workload w = MakeWorkload(32);
   obs::Scope scope;
   fleet::SloTracker slo;
@@ -222,12 +224,6 @@ TEST(FleetSlo, TotalsMatchRunResultsAndAbsorbIntoScope) {
   EXPECT_EQ(totals.misses, total_drops);
   EXPECT_EQ(totals.miss_delay.count(), total_drops);
   EXPECT_EQ(totals.tenants_out_of_budget, 0);
-
-  const auto values = scope.registry().Values();
-  EXPECT_EQ(values.at("fleet.slo.tenants_finished"),
-            static_cast<double>(w.jobs.size()));
-  EXPECT_EQ(values.at("fleet.slo.misses"), static_cast<double>(total_drops));
-  EXPECT_EQ(values.at("fleet.slo.tenants_out_of_budget"), 0.0);
 
   // The recorder saw the run: per-shard rings with admit/finish/tick events.
   EXPECT_EQ(recorder.num_rings(), 4u);
@@ -258,6 +254,95 @@ TEST(FleetSlo, TotalsMatchRunResultsAndAbsorbIntoScope) {
   EXPECT_EQ(admits, w.jobs.size());
   EXPECT_EQ(finishes, w.jobs.size());
   EXPECT_GT(ticks, 0u);
+}
+
+// The tracker owns the fleet.slo.* series. A page that serves the runner's
+// scope and the tracker's section carries each family once, with this run's
+// values, however many runs the scope has absorbed.
+TEST(FleetSlo, SloSeriesAppearOncePerPageAcrossRuns) {
+  Workload w = MakeWorkload(8);
+  obs::Scope scope;
+  fleet::SloTracker slo;
+  fleet::FleetOptions options;
+  options.num_shards = 2;
+  options.rounds_per_tick = 16;
+  options.scope = &scope;
+  options.slo = &slo;
+  fleet::FleetRunner runner(options);
+  obs::ExportServer::Options server_options;
+  server_options.scope = &scope;
+  obs::ExportServer server(server_options);
+  server.AddMetricsSection([&slo] { return slo.RenderPrometheus(); });
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  runner.RunAll(w.jobs);
+  uint64_t last_drops = 0;
+  for (const RunResult& result : runner.RunAll(w.jobs)) {
+    last_drops += result.cost.drops;
+  }
+  ASSERT_GT(last_drops, 0u);
+
+  const std::string page =
+      obs::HttpGet("127.0.0.1", server.port(), "/metrics", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  std::map<std::string, int> type_lines;
+  const std::string kType = "# TYPE rrs_fleet_slo_";
+  for (size_t at = page.find(kType); at != std::string::npos;
+       at = page.find(kType, at + 1)) {
+    ++type_lines[page.substr(at, page.find(' ', at + kType.size()) - at)];
+  }
+  EXPECT_GE(type_lines.size(), 10u);
+  for (const auto& [family, lines] : type_lines) {
+    EXPECT_EQ(lines, 1) << family;
+  }
+  EXPECT_EQ(ParseProm(page).at("rrs_fleet_slo_misses"),
+            static_cast<double>(last_drops));
+  server.Stop();
+}
+
+// A pipeline tenant's result keeps the inner run's per-subcolor drops; the
+// tracker must still class every miss by the tenant's own delay bounds.
+TEST(FleetSlo, PipelineTenantMissesClassByItsOwnDelayBounds) {
+  workload::DatacenterOptions gen;
+  gen.rounds = 512;
+  const Instance tenant = workload::MakeDatacenterScenario(gen);
+  fleet::FleetJob job;
+  job.instance = &tenant;
+  job.options.num_resources = 8;
+  job.options.cost_model.delta = 4;
+  job.kind = fleet::FleetJob::Kind::kPipeline;
+  fleet::SloTracker slo;
+  fleet::FleetOptions options;
+  options.slo = &slo;
+  fleet::FleetRunner runner(options);
+  const std::vector<RunResult> results = runner.RunAll({&job, 1});
+  const uint64_t drops = results[0].cost.drops;
+  ASSERT_GT(drops, 0u);
+  ASSERT_GT(results[0].drops_per_color.size(), tenant.num_colors());
+
+  const fleet::SloTracker::Snapshot totals = slo.SnapshotTotals();
+  EXPECT_EQ(totals.misses, drops);
+  EXPECT_EQ(totals.miss_delay.count(), drops);
+  for (uint32_t i = 0; i < obs::LogHistogram::kNumBuckets; ++i) {
+    if (totals.miss_delay.bucket_count(i) == 0) continue;
+    bool own_class = false;
+    for (ColorId c = 0; c < tenant.num_colors(); ++c) {
+      const uint64_t delay = static_cast<uint64_t>(tenant.delay_bound(c));
+      own_class |= delay >= obs::LogHistogram::BucketLo(i) &&
+                   delay < obs::LogHistogram::BucketHi(i);
+    }
+    EXPECT_TRUE(own_class) << "bucket " << i;
+  }
+  // Each subcolor's drops count at its base color's delay bound.
+  const reduce::PipelineResult pipe = reduce::SolveOnline(tenant, job.options);
+  uint64_t delay_sum = 0;
+  for (size_t c = 0; c < pipe.inner.drops_per_color.size(); ++c) {
+    delay_sum += pipe.inner.drops_per_color[c] *
+                 static_cast<uint64_t>(
+                     tenant.delay_bound(pipe.distribute.base_of[c]));
+  }
+  EXPECT_EQ(totals.miss_delay.sum(), delay_sum);
 }
 
 // ---- Flight recorder ------------------------------------------------------

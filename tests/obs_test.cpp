@@ -153,34 +153,6 @@ TEST(LogHistogram, MergeAndReset) {
   EXPECT_EQ(a.max(), 0u);
 }
 
-TEST(LogHistogram, MergeDiffRecoversPeriodicDeltas) {
-  // The absorb pattern: a writer records into one cumulative histogram; a
-  // periodic absorber snapshots it as a baseline and later pulls the delta
-  // with MergeDiff. The accumulated deltas must reproduce the stream a
-  // dedicated pending histogram would have captured.
-  obs::LogHistogram cumulative, baseline, absorbed, expected;
-  auto absorb = [&] {
-    absorbed.MergeDiff(cumulative, baseline);
-    baseline = cumulative;
-  };
-  cumulative.RecordMany(100, 3);
-  expected.RecordMany(100, 3);
-  absorb();
-  // Empty round: nothing recorded since the baseline copy.
-  absorb();
-  cumulative.Record(7);
-  cumulative.RecordMany((1ull << 20) + 5, 2);
-  expected.Record(7);
-  expected.RecordMany((1ull << 20) + 5, 2);
-  absorb();
-  EXPECT_EQ(absorbed.count(), expected.count());
-  EXPECT_EQ(absorbed.sum(), expected.sum());
-  EXPECT_EQ(absorbed.max(), expected.max());
-  for (uint32_t i = 0; i < obs::LogHistogram::kNumBuckets; ++i) {
-    ASSERT_EQ(absorbed.bucket_count(i), expected.bucket_count(i)) << i;
-  }
-}
-
 TEST(LogHistogram, BucketBoundsContainTheirValues) {
   for (uint64_t v : {0ull, 1ull, 15ull, 16ull, 17ull, 1023ull, 1024ull,
                      (1ull << 40) + 12345ull}) {

@@ -48,7 +48,7 @@ Instance FuzzInstance(Rng& rng) {
   for (size_t c = 0; c < num_colors; ++c) {
     workload::ColorSpec spec;
     spec.delay_bound = Round{1} << rng.NextBounded(5);
-    spec.rate = rng.UniformDouble(0.05, 0.8);
+    spec.rate = 0.05 + (0.8 - 0.05) * rng.UniformDouble();
     specs.push_back(spec);
   }
   workload::PoissonOptions gen;
@@ -234,7 +234,7 @@ std::function<std::unique_ptr<workload::ArrivalSource>()> FuzzSourceFactory(
   for (size_t c = 0; c < num_colors; ++c) {
     workload::ColorSpec spec;
     spec.delay_bound = Round{1} << rng.NextBounded(5);
-    spec.rate = rng.UniformDouble(0.05, 0.8);
+    spec.rate = 0.05 + (0.8 - 0.05) * rng.UniformDouble();
     specs.push_back(spec);
   }
   const Round rounds = 16 + static_cast<Round>(rng.NextBounded(100));

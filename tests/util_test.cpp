@@ -181,7 +181,7 @@ TEST(RunningStats, MergeMatchesSequential) {
   Rng rng(59);
   RunningStats all, a, b;
   for (int i = 0; i < 1000; ++i) {
-    double x = rng.UniformDouble(-5, 5);
+    double x = -5 + 10 * rng.UniformDouble();
     all.Add(x);
     (i % 2 ? a : b).Add(x);
   }

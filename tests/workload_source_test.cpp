@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "fleet/dist/protocol.h"
 #include "sched/registry.h"
 #include "snapshot/codec.h"
 #include "workload/arrival_source.h"
@@ -306,9 +307,10 @@ TEST(GeneratorSpecTest, WireRoundTripRebuildsIdenticalSources) {
   }
   for (const workload::GeneratorSpec& spec : specs) {
     snapshot::Writer w;
-    PutGeneratorSpec(w, spec);
+    fleet::dist::Put(w, spec);
     snapshot::Reader r(w.words());
-    const workload::GeneratorSpec decoded = workload::GetGeneratorSpec(r);
+    const workload::GeneratorSpec decoded =
+        fleet::dist::Get<workload::GeneratorSpec>(r);
     EXPECT_TRUE(r.AtEnd());
     EXPECT_EQ(decoded, spec);
     auto direct = workload::MakeSource(spec);
